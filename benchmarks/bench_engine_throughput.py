@@ -71,6 +71,11 @@ SWEEP_PRESETS = ("baseline", "xor_bp", "noisy_xor_bp", "xor_btb",
                  "noisy_xor_btb")
 SWEEP_PREDICTORS = ("tage", "gshare")
 
+#: Figure 10's other predictors with execute kernels; the smoke mode checks
+#: that each one's kernel runs its intended arm, not the generic
+#: ``DirectionPredictor.execute`` fallback.
+SMOKE_KERNEL_PREDICTORS = ("tournament", "ltage", "tage_sc_l")
+
 #: Backend sweep: the presets whose hot loop the numpy window kernels
 #: target (TAGE table walk, passthrough and fused-XOR arms).  Measured at
 #: a larger branch budget than the other groups — the backend gap is a few
@@ -115,7 +120,8 @@ def assert_fast_path(core: SingleThreadCore, preset: str) -> None:
     Expectations are derived per structure from the preset's protection
     config: an XOR-mechanism structure must ride the fused-XOR fast path,
     anything else the passthrough one.  On top of the storage flags, the
-    packed-BTB probe kernel and the gshare/TAGE execute kernels must report
+    packed-BTB probe kernel and the direction predictor's execute kernel
+    (gshare, TAGE, tournament, LTAGE or TAGE-SC-L) must report
     the matching specialisation arm.  Guards the benchmark and the CI smoke
     step against silent fallbacks to the generic dispatch.
     """
@@ -139,13 +145,16 @@ def assert_fast_path(core: SingleThreadCore, preset: str) -> None:
             f"{preset}: packed-BTB probe kernel runs the {btb_arm!r} arm, "
             f"expected {want_arm!r}")
     exec_kernel = getattr(bpu.direction, "exec_kernel", None)
-    if exec_kernel is not None:
-        dir_arm = getattr(exec_kernel(0), "arm", None)
-        want_arm = "fused-xor" if want_pht_xor else "passthrough"
-        if dir_arm != want_arm:
-            raise AssertionError(
-                f"{preset}: {bpu.direction.name} kernel runs the "
-                f"{dir_arm!r} arm, expected {want_arm!r}")
+    if exec_kernel is None:
+        raise AssertionError(
+            f"{preset}: {bpu.direction.name} has no execute kernel and "
+            "falls back to DirectionPredictor.execute")
+    dir_arm = getattr(exec_kernel(0), "arm", None)
+    want_arm = "fused-xor" if want_pht_xor else "passthrough"
+    if dir_arm != want_arm:
+        raise AssertionError(
+            f"{preset}: {bpu.direction.name} kernel runs the "
+            f"{dir_arm!r} arm, expected {want_arm!r}")
     build_masks = getattr(bpu.direction, "_build_kernel_masks", None)
     if build_masks is not None:
         bundle = build_masks(0)
@@ -217,13 +226,24 @@ def _measure(engine: str, *, preset: str = "baseline", predictor: str = "tage",
 
 
 def run_smoke(preset: str, repeats: int, backend: str) -> None:
-    """Reduced-scale CI smoke: measure one preset, verify its fast path."""
+    """Reduced-scale CI smoke: measure one preset, verify its fast paths.
+
+    TAGE runs on ``backend``; the tournament, LTAGE and TAGE-SC-L kernels,
+    which no accelerated backend replaces, run on the python reference
+    backend.
+    """
     scale = ExperimentScale(st_target_branches=4_000, st_warmup_branches=1_000)
     entry = _measure("batched", preset=preset, repeats=repeats, scale=scale,
                      check_fast_path=True, backend=backend)
     print(f"smoke {preset} ({backend} backend): "
           f"{entry['branches_per_second']:,.0f} branches/s "
           f"({entry['branches_simulated']} branches), fast path verified")
+    for predictor in SMOKE_KERNEL_PREDICTORS:
+        entry = _measure("batched", preset=preset, predictor=predictor,
+                         repeats=1, scale=scale, check_fast_path=True)
+        print(f"smoke {preset} {predictor}: "
+              f"{entry['branches_per_second']:,.0f} branches/s, "
+              "fast path verified")
 
 
 def main(argv=None) -> dict:

@@ -47,6 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from .kernel_cache import build_kernel
 from .table import (ROW_DIVERSIFIER, IdentityIsolation, TableIsolation,
                     is_passthrough_isolation, supports_fused_xor)
 from ..types import BranchType
@@ -142,12 +143,11 @@ class BranchTargetBuffer:
         self._tag_row_keys: Optional[List[int]] = None
         self._target_row_keys: Optional[List[int]] = None
         # Per-thread conditional-probe kernels (generated, way walk
-        # unrolled) and the compiled kernel code objects, keyed by isolation
-        # arm.  Registered as a second mask cache under XOR policies so key
-        # re-randomisation drops the kernels; the batched engines re-fetch
-        # after switch notifications.
+        # unrolled; code objects shared process-wide, see
+        # :mod:`repro.predictors.kernel_cache`).  Registered as a second mask
+        # cache under XOR policies so key re-randomisation drops the
+        # kernels; the batched engines re-fetch after switch notifications.
         self._cond_kernels: Dict[int, object] = {}
-        self._kernel_code: Dict[tuple, object] = {}
         self._clock = 0
         self.name = "btb"
         self.lookups = 0
@@ -292,12 +292,6 @@ class BranchTargetBuffer:
                     masks = self._build_xor_masks(thread_id)
                 diversified = bool(getattr(self._isolation,
                                            "_row_diversified", False))
-            key = (encoded, diversified)
-            code = self._kernel_code.get(key)
-            if code is None:
-                source = self._cond_kernel_source(encoded, diversified)
-                code = compile(source, f"<btb-kernel {key}>", "exec")
-                self._kernel_code[key] = code
             namespace = {
                 "valid": self._valid, "tags": self._tags,
                 "targets": self._targets, "types": self._types,
@@ -312,8 +306,9 @@ class BranchTargetBuffer:
                 if diversified:
                     namespace["TRK"] = self._tag_row_keys
                     namespace["GRK"] = self._target_row_keys
-            exec(code, namespace)
-            kernel = namespace["_kernel"]
+            kernel = build_kernel(
+                self._cond_kernel_source(encoded, diversified),
+                f"<btb-kernel {(encoded, diversified)}>", namespace)
             kernel.arm = "fused-xor" if encoded else "passthrough"
         else:
             # Non-fusable isolation (owner tracking / non-XOR encoders):

@@ -128,6 +128,106 @@ class LoopPredictor:
             confidence = 0
         self._table.write(index, self._pack(tag, trip, 0, confidence), thread_id)
 
+    def step_kernel(self, thread_id: int = 0):
+        """Build one thread's fused probe + training step ``fn(pc, taken)``.
+
+        The step is ``lookup`` followed by ``update`` on the same entry,
+        reading the entry once: it returns the predicted direction when a
+        confident entry matched and ``None`` otherwise, and trains the
+        entry with the resolved direction.  Composite predictors (LTAGE,
+        TAGE-SC-L) embed it in their execute kernels; they rebuild it
+        whenever their own kernel is invalidated (the step binds the
+        thread's fused-XOR masks).
+
+        The *passthrough* and *fused-XOR* arms address the packed storage
+        list directly (passthrough with all-zero masks); the *generic* arm
+        routes every access through the table's isolation dispatch.
+        """
+        table = self._table
+        imask = self._index_mask
+        tag_shift = 2 + imask.bit_length()
+        tag_mask = self._tag_mask
+        conf_bits = self._conf_bits
+        conf_mask = self._conf_mask
+        iter_mask = self._iter_mask
+        trip_shift = conf_bits + self._iter_bits
+        word_tag_shift = conf_bits + 2 * self._iter_bits
+        threshold = self._threshold
+        one_iter = 1 << conf_bits
+        tid = thread_id
+
+        if table._fast or table._xor_fast:
+            data = table._data
+            offset = table._offset
+            if table._xor_fast:
+                masks = table._xor_masks.get(thread_id)
+                if masks is None:
+                    masks = table._build_xor_masks(thread_id)
+                index_key, content_key, row_keys = masks
+            else:
+                index_key = content_key = 0
+                row_keys = table.row_diversifier_keys()
+
+            def step(pc, taken):
+                row = ((pc >> 2) ^ index_key) & imask
+                key = content_key ^ row_keys[row]
+                word = data[offset + row] ^ key
+                lookup_tag = (pc >> tag_shift) & tag_mask
+                if word == 0 or (word >> word_tag_shift) != lookup_tag:
+                    if not taken:
+                        data[offset + row] = (lookup_tag << word_tag_shift) ^ key
+                    return None
+                current = (word >> conf_bits) & iter_mask
+                trip = (word >> trip_shift) & iter_mask
+                confidence = word & conf_mask
+                predicted = current < trip if confidence >= threshold else None
+                if taken:
+                    if current < iter_mask:
+                        data[offset + row] = (word + one_iter) ^ key
+                elif current == trip and trip != 0:
+                    if confidence < conf_mask:
+                        data[offset + row] = \
+                            ((word & ~(iter_mask << conf_bits)) + 1) ^ key
+                    else:
+                        data[offset + row] = \
+                            (word & ~(iter_mask << conf_bits)) ^ key
+                else:
+                    data[offset + row] = ((lookup_tag << word_tag_shift)
+                                          | (current << trip_shift)) ^ key
+                return predicted
+
+            step.arm = "fused-xor" if table._xor_fast else "passthrough"
+        else:
+            read = table.read
+            write = table.write
+            pack = self._pack
+
+            def step(pc, taken):
+                index = (pc >> 2) & imask
+                word = read(index, tid)
+                lookup_tag = (pc >> tag_shift) & tag_mask
+                if word == 0 or (word >> word_tag_shift) != lookup_tag:
+                    if not taken:
+                        write(index, pack(lookup_tag, 0, 0, 0), tid)
+                    return None
+                current = (word >> conf_bits) & iter_mask
+                trip = (word >> trip_shift) & iter_mask
+                confidence = word & conf_mask
+                predicted = current < trip if confidence >= threshold else None
+                if taken:
+                    write(index, pack(lookup_tag, trip,
+                                      min(current + 1, iter_mask),
+                                      confidence), tid)
+                elif current == trip and trip != 0:
+                    write(index, pack(lookup_tag, trip, 0,
+                                      min(confidence + 1, conf_mask)), tid)
+                else:
+                    write(index, pack(lookup_tag, current, 0, 0), tid)
+                return predicted
+
+            step.arm = "generic"
+        return step
+
     # -- structure access -----------------------------------------------------
     @property
     def table(self) -> PredictorTable:

@@ -3,21 +3,140 @@
 LTAGE (Seznec, CBP-2) is one of the four predictors evaluated in the paper's
 SMT study (Table 2 lists a 32 KB LTAGE).  The loop predictor overrides TAGE
 whenever it has a confident entry for the branch.
+
+Hot path
+--------
+
+Both TAGE composites (this module and :mod:`repro.predictors.tage_sc_l`)
+serve the batched engines through per-thread execute kernels built from
+their components' fused steps: TAGE's *component* kernel (the generated
+TAGE kernel without statistics, see
+:meth:`repro.predictors.tage.TagePredictor.component_kernel`), the loop
+predictor's probe + training step and, for TAGE-SC-L, the statistical
+corrector's vote + training step.  The scalar protocol runs every lookup
+before every update; the kernel instead runs each component's lookup and
+update back to back, TAGE first.  That order is bit-identical because TAGE
+trains on its *own* prediction (never on the loop- or SC-overridden one)
+and the components' tables and histories are disjoint — the only state one
+component reads from another is TAGE's global history, which the
+TAGE-SC-L kernel samples before TAGE's step pushes the outcome.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from .base import DirectionPrediction, DirectionPredictor
 from .loop import LoopPredictor
-from .table import PredictorTable, TableIsolation
+from .table import PredictorTable, TableIsolation, supports_fused_xor
 from .tage import TageConfig, TagePredictor
 
 __all__ = ["LTagePredictor"]
 
 
-class LTagePredictor(DirectionPredictor):
+class TageComposite(DirectionPredictor):
+    """Kernel plumbing shared by the TAGE-based composite predictors.
+
+    Subclasses build ``self._tage`` and ``self._loop`` (plus any further
+    component), call :meth:`_init_kernels`, and implement
+    :meth:`_components` and :meth:`_compose`.  The kernel contract matches
+    :meth:`TagePredictor.exec_kernel`: three arms (``passthrough``,
+    ``fused-xor``, ``generic``) and invalidation on key rotation,
+    ``flush``/``flush_thread``, ``reset_stats`` and
+    ``invalidate_kernel_masks``.
+    """
+
+    _tage: TagePredictor
+    _loop: LoopPredictor
+
+    def _init_kernels(self) -> None:
+        # Per-thread composite kernels.  They bind per-thread fused-XOR
+        # masks (through the component steps), so under an XOR policy they
+        # register as a mask cache: key re-randomisation drops them.
+        self._exec_fns: Dict[int, object] = {}
+        attached = self._loop.table.isolation
+        if supports_fused_xor(attached):
+            self._exec_token = object()
+            attached.register_fast_mask_cache(self._exec_token,
+                                              self._exec_fns,
+                                              self._build_exec_fn)
+
+    def _components(self) -> list:
+        """Component predictors, in flush order."""
+        raise NotImplementedError
+
+    def _compose(self, thread_id: int, tage_step, loop_step, pstats):
+        """Return ``(kernel, component steps)`` for one hardware thread."""
+        raise NotImplementedError
+
+    def execute(self, pc: int, taken: bool, thread_id: int = 0) -> bool:
+        """Fused lookup + stats + update via the thread's kernel.
+
+        State evolution and statistics are identical to the ``lookup`` /
+        ``stats().record`` / ``update`` sequence, for every isolation policy.
+        """
+        fn = self._exec_fns.get(thread_id)
+        if fn is None:
+            fn = self._build_exec_fn(thread_id)
+        return fn(pc, taken)
+
+    def exec_kernel(self, thread_id: int = 0):
+        """Return the thread's execute kernel ``fn(pc, taken)``.
+
+        Same contract as :meth:`TagePredictor.exec_kernel`: callers must
+        re-fetch it after every switch notification; the callable also
+        accepts (and ignores) a trailing ``thread_id`` argument.
+        """
+        fn = self._exec_fns.get(thread_id)
+        if fn is None:
+            fn = self._build_exec_fn(thread_id)
+        return fn
+
+    def _build_exec_fn(self, thread_id: int):
+        """Build, cache and return one thread's composite kernel."""
+        fn, steps = self._compose(thread_id,
+                                  self._tage.component_kernel(thread_id),
+                                  self._loop.step_kernel(thread_id),
+                                  self.stats(thread_id))
+        # The kernel runs one arm only when every component step does (the
+        # steps pick their arms from their own tables' storage flags).
+        arms = {step.arm for step in steps}
+        fn.arm = arms.pop() if len(arms) == 1 else "generic"
+        self._exec_fns[thread_id] = fn
+        return fn
+
+    def invalidate_kernel_masks(self) -> None:
+        """Drop every cached kernel, the inner TAGE's included."""
+        self._tage.invalidate_kernel_masks()
+        self._exec_fns.clear()
+
+    def flush(self) -> None:
+        for component in self._components():
+            component.flush()
+        self._exec_fns.clear()
+
+    def flush_thread(self, thread_id: int) -> None:
+        for component in self._components():
+            component.flush_thread(thread_id)
+        self._exec_fns.pop(thread_id, None)
+
+    def reset_stats(self) -> None:
+        super().reset_stats()
+        # The kernels bind the (now replaced) stats objects.
+        self._exec_fns.clear()
+
+    @property
+    def tage(self) -> TagePredictor:
+        """The TAGE component."""
+        return self._tage
+
+    @property
+    def loop(self) -> LoopPredictor:
+        """The loop-predictor component."""
+        return self._loop
+
+
+class LTagePredictor(TageComposite):
     """TAGE + loop predictor.
 
     Args:
@@ -37,6 +156,7 @@ class LTagePredictor(DirectionPredictor):
         self._tage = TagePredictor(tage_config, isolation=isolation,
                                    word_bits=word_bits)
         self._loop = LoopPredictor(loop_entries, isolation=isolation)
+        self._init_kernels()
 
     def lookup(self, pc: int, thread_id: int = 0) -> DirectionPrediction:
         tage_pred = self._tage.lookup(pc, thread_id)
@@ -59,23 +179,21 @@ class LTagePredictor(DirectionPredictor):
         self._loop.update(pc, taken, thread_id)
         self._tage.update(pc, taken, prediction.meta["tage"], thread_id)
 
+    def _components(self) -> list:
+        return [self._tage, self._loop]
+
+    def _compose(self, thread_id: int, tage_step, loop_step, pstats):
+        def fn(pc, taken, _thread_id=0):
+            predicted = tage_step(pc, taken)[0]
+            loop_taken = loop_step(pc, taken)
+            if loop_taken is not None:
+                predicted = loop_taken
+            pstats.lookups += 1
+            if predicted != taken:
+                pstats.mispredictions += 1
+            return predicted
+
+        return fn, (tage_step, loop_step)
+
     def tables(self) -> List[PredictorTable]:
         return self._tage.tables() + [self._loop.table]
-
-    @property
-    def tage(self) -> TagePredictor:
-        """The TAGE component."""
-        return self._tage
-
-    @property
-    def loop(self) -> LoopPredictor:
-        """The loop-predictor component."""
-        return self._loop
-
-    def flush(self) -> None:
-        self._tage.flush()
-        self._loop.flush()
-
-    def flush_thread(self, thread_id: int) -> None:
-        self._tage.flush_thread(thread_id)
-        self._loop.flush_thread(thread_id)

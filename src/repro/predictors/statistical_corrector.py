@@ -20,6 +20,7 @@ from typing import List, Optional
 
 from .counters import signed_saturating_update
 from .history import GlobalHistory, LocalHistoryTable, fold_history
+from .kernel_cache import build_kernel
 from .table import PredictorTable, TableIsolation
 
 __all__ = ["StatisticalCorrector"]
@@ -154,6 +155,150 @@ class StatisticalCorrector:
         is_backward = bool((pc >> 20) & 1)
         if is_backward:
             self._backward_history.push(taken, thread_id)
+
+    def step_kernel(self, thread_id: int = 0):
+        """Build one thread's fused vote + training step.
+
+        The step ``fn(pc, taken, ghr_value, pre_taken, confident)`` is
+        :meth:`correct` followed by :meth:`update` for one branch: it
+        computes the component indices once, reads each counter once for
+        both the vote and the training (no component table is written
+        between the two in the reference protocol either), and returns the
+        final prediction.  ``pre_taken``/``confident`` are the combined
+        TAGE/loop prediction and its confidence; ``ghr_value`` is TAGE's
+        global history *before* the branch.
+
+        The step is generated (see :meth:`_step_source`) per arm: the
+        *passthrough* and *fused-XOR* arms address the storage lists
+        directly, the *generic* arm routes every access through the tables'
+        isolation dispatch.  Composite predictors rebuild the step whenever
+        their own kernel is invalidated (it binds the thread's fused-XOR
+        masks).
+        """
+        tables = self.tables()
+        if all(t._fast for t in tables):
+            arm = "passthrough"
+        elif all(t._xor_fast for t in tables):
+            arm = "fused-xor"
+        else:
+            arm = "generic"
+        namespace = {"sc": self, "TID": thread_id,
+                     "bw_values": self._backward_history._values,
+                     "lht": self._local_history._entries}
+        for j, table in enumerate(tables):
+            namespace[f"T{j}"] = table
+            namespace[f"D{j}"] = table._data
+            if arm == "fused-xor":
+                masks = table._xor_masks.get(thread_id)
+                if masks is None:
+                    masks = table._build_xor_masks(thread_id)
+                namespace[f"IK{j}"], namespace[f"CK{j}"], \
+                    namespace[f"RK{j}"] = masks
+        step = build_kernel(self._step_source(arm), f"<sc-kernel {arm}>",
+                            namespace)
+        step.arm = arm
+        return step
+
+    def _step_source(self, arm: str) -> str:
+        """Generate the source of one fused SC step arm.
+
+        Component loops are unrolled and the geometry (index width, history
+        lengths, counter width, storage offsets) inlined as literals; the
+        tables' storage lists and the thread's masks are globals.  Statement
+        order follows :meth:`correct` + :meth:`update` (history pushes are
+        moved ahead of the counter writes; they touch disjoint state).
+        """
+        tables = self.tables()
+        ibits = self._index_bits
+        imask = self._index_mask
+        sign = 1 << (self._counter_bits - 1)
+        vmask = (1 << self._counter_bits) - 1
+        hi = self._max
+        lo = -(hi + 1)
+        lht = self._local_history
+
+        def fold(name: str, bits: int) -> str:
+            """XOR-fold a ``bits``-wide value into ``ibits`` (fold_history)."""
+            if ibits <= 0 or bits <= 0:
+                return "0"
+            terms = []
+            for shift in range(0, bits, ibits):
+                term = f"({name} >> {shift})" if shift else name
+                terms.append(term if shift + ibits >= bits
+                             else f"({term} & {imask})")
+            return " ^ ".join(terms)
+
+        lines = []
+        emit = lines.append
+        emit("def _kernel(pc, taken, ghr_value, pre_taken, confident):")
+        emit("    pc2 = pc >> 2")
+        for j, length in enumerate(self._history_lengths):
+            emit(f"    h = ghr_value & {(1 << length) - 1}")
+            emit(f"    i{j} = (pc2 ^ {fold('h', length)}) & {imask}")
+        n = len(tables)
+        bw_bits = self._backward_history.bits
+        emit("    h = bw_values.get(TID, 0)")
+        emit(f"    i{n - 2} = (pc2 ^ {fold('h', bw_bits)}) & {imask}")
+        emit(f"    i{n - 1} = (pc2 ^ lht[pc2 & {lht._index_mask}]) & {imask}")
+        for j, table in enumerate(tables):
+            cell = f"D{j}[{table._offset} + r{j}]" if table._offset \
+                else f"D{j}[r{j}]"
+            if arm == "passthrough":
+                emit(f"    r{j} = i{j}")
+                emit(f"    v = {cell}")
+            elif arm == "fused-xor":
+                emit(f"    r{j} = (i{j} ^ IK{j}) & {imask}")
+                emit(f"    k{j} = CK{j} ^ RK{j}[r{j}]")
+                emit(f"    v = {cell} ^ k{j}")
+            else:
+                emit(f"    v = T{j}.read(i{j}, TID)")
+            emit(f"    s{j} = (v & {sign - 1}) - (v & {sign})")
+        votes = " + ".join(f"s{j}" for j in range(n))
+        emit(f"    total = (8 if pre_taken else -8) + 2 * ({votes}) + {n}")
+        # -- correct() -------------------------------------------------------
+        emit("    threshold = sc._use_threshold")
+        emit("    sc_taken = total >= 0")
+        emit("    magnitude = total if sc_taken else -total")
+        emit("    if sc_taken == pre_taken:")
+        emit("        final = pre_taken")
+        emit("    elif confident and magnitude < threshold:")
+        emit("        final = pre_taken")
+        emit("    elif magnitude >= threshold // 2:")
+        emit("        final = sc_taken")
+        emit("    else:")
+        emit("        final = pre_taken")
+        # -- update(): threshold adaptation, histories, training -------------
+        emit("    if final != taken:")
+        emit("        if sc_taken == taken:")
+        emit("            threshold = threshold - 1 if threshold > 2 else 2")
+        emit("        else:")
+        max_threshold = 8 * len(self._tables)
+        emit(f"            threshold = threshold + 1 if threshold < "
+             f"{max_threshold} else {max_threshold}")
+        emit("        sc._use_threshold = threshold")
+        emit(f"    slot = pc2 & {lht._index_mask}")
+        emit(f"    lht[slot] = ((lht[slot] << 1) | taken) & {lht._mask}")
+        emit("    if (pc >> 20) & 1:")
+        emit("        bw_values[TID] = ((bw_values.get(TID, 0) << 1) | taken)"
+             f" & {self._backward_history._mask}")
+        emit("    if sc_taken != taken or magnitude < 4 * threshold:")
+        for step, limit in (("+ 1", hi), ("- 1", lo)):
+            emit("        if taken:" if step == "+ 1" else "        else:")
+            for j in range(n):
+                cmp = "<" if step == "+ 1" else ">"
+                emit(f"            s{j} = s{j} {step} if s{j} {cmp} {limit}"
+                     f" else {limit}")
+        for j, table in enumerate(tables):
+            cell = f"D{j}[{table._offset} + r{j}]" if table._offset \
+                else f"D{j}[r{j}]"
+            if arm == "passthrough":
+                emit(f"        {cell} = s{j} & {vmask}")
+            elif arm == "fused-xor":
+                emit(f"        {cell} = (s{j} & {vmask}) ^ k{j}")
+            else:
+                emit(f"        T{j}.write(i{j}, s{j} & {vmask}, TID)")
+        emit("    return final")
+        return "\n".join(lines) + "\n"
 
     # -- structure access -----------------------------------------------------
     def tables(self) -> List[PredictorTable]:

@@ -51,6 +51,7 @@ from .base import DirectionPrediction, DirectionPredictor, PredictorStats
 from .bimodal import BimodalPredictor
 from .counters import counter_is_taken, saturating_update
 from .history import GlobalHistory, PathHistory
+from .kernel_cache import build_kernel
 from .table import PredictorTable, TableIsolation, supports_fused_xor
 
 __all__ = ["TageConfig", "TagePredictor", "geometric_history_lengths"]
@@ -252,12 +253,14 @@ class TagePredictor(DirectionPredictor):
         self._zero_row_keys = [0] * cfg.table_entries
         self._zero_base_row_keys = [0] * self._base_words.n_entries
         # Per-thread specialised kernels (generated functions, see
-        # ``_build_exec_fn``) and the compiled kernel code objects, keyed by
-        # isolation arm.  The kernels close over per-thread masks and state,
-        # so they register as a second mask cache: key re-randomisation
-        # drops them and the switch-time refresh rebuilds them eagerly.
+        # ``_build_exec_fn``; code objects are shared process-wide, see
+        # :mod:`repro.predictors.kernel_cache`): the standalone kernels and
+        # the *component* kernels a composite predictor (LTAGE, TAGE-SC-L)
+        # drives.  The kernels close over per-thread masks and state, so
+        # they register as further mask caches: key re-randomisation drops
+        # them and the next fetch rebuilds them.
         self._exec_fns: Dict[int, object] = {}
-        self._kernel_code: Dict[tuple, object] = {}
+        self._component_fns: Dict[int, object] = {}
         attached = self._tables[0].isolation
         if supports_fused_xor(attached):
             attached.register_fast_mask_cache(self, self._kernel_masks,
@@ -266,6 +269,10 @@ class TagePredictor(DirectionPredictor):
             attached.register_fast_mask_cache(self._exec_token,
                                               self._exec_fns,
                                               self._build_exec_fn)
+            self._component_token = object()
+            attached.register_fast_mask_cache(self._component_token,
+                                              self._component_fns,
+                                              self._build_component_fn)
         # Per-call constants of the generic fused-execute path (non-fusable
         # isolation policies), packed into one tuple so that path pays a
         # single attribute load instead of ~25.  Every member is immutable
@@ -352,6 +359,7 @@ class TagePredictor(DirectionPredictor):
         """Drop every cached kernel bundle (tests / manual flag flips)."""
         self._kernel_masks.clear()
         self._exec_fns.clear()
+        self._component_fns.clear()
 
     # -- folded-history maintenance --------------------------------------------
     def _folded_regs(self, thread_id: int) -> list:
@@ -546,7 +554,27 @@ class TagePredictor(DirectionPredictor):
             fn = self._build_exec_fn(thread_id)
         return fn
 
-    def _build_exec_fn(self, thread_id: int):
+    def component_kernel(self, thread_id: int = 0):
+        """Return the thread's *component* kernel ``fn(pc, taken)``.
+
+        The composable arm of :meth:`exec_kernel` for composite predictors
+        (LTAGE, TAGE-SC-L) that embed this TAGE: the same fused lookup +
+        update, but it records no statistics (the composite owns them, as
+        in the scalar ``lookup``/``update`` protocol) and returns the pair
+        ``(predicted, confident)``.  ``confident`` is TAGE's confidence
+        bit: ``not use_alt`` on a provider hit, base-counter strength > 0
+        otherwise.  Invalidated by the same events as :meth:`exec_kernel`.
+        """
+        fn = self._component_fns.get(thread_id)
+        if fn is None:
+            fn = self._build_component_fn(thread_id)
+        return fn
+
+    def _build_component_fn(self, thread_id: int):
+        """Build, cache and return one thread's component kernel."""
+        return self._build_exec_fn(thread_id, component=True)
+
+    def _build_exec_fn(self, thread_id: int, component: bool = False):
         """Build, cache and return one thread's specialised kernel."""
         bundle = self._kernel_masks.get(thread_id)
         if bundle is None:
@@ -555,35 +583,34 @@ class TagePredictor(DirectionPredictor):
             # Non-fusable isolation (owner tracking / non-XOR encoders).
             generic = self._execute_generic
 
-            def fn(pc, taken, thread_id=thread_id, _generic=generic):
-                return _generic(pc, taken, thread_id)
+            def fn(pc, taken, thread_id=thread_id, _generic=generic,
+                   _component=component):
+                return _generic(pc, taken, thread_id, _component)
         else:
             encoded = bundle[0]
             diversified = encoded and bool(
                 getattr(self._tables[0].isolation, "_row_diversified", False))
-            key = (encoded, diversified)
-            code = self._kernel_code.get(key)
-            if code is None:
-                source = self._kernel_source(encoded, diversified)
-                code = compile(source, f"<tage-kernel {key}>", "exec")
-                self._kernel_code[key] = code
-            namespace = self._kernel_namespace(thread_id, bundle)
-            exec(code, namespace)
-            fn = namespace["_kernel"]
+            label = "tage-component-kernel" if component else "tage-kernel"
+            fn = build_kernel(
+                self._kernel_source(encoded, diversified, component),
+                f"<{label} {(encoded, diversified)}>",
+                self._kernel_namespace(thread_id, bundle, component))
         # Which specialisation this kernel runs (benchmarks and tests assert
         # the intended arm is active instead of a silent generic fallback).
         fn.arm = ("generic" if bundle is False
                   else "fused-xor" if bundle[0] else "passthrough")
-        self._exec_fns[thread_id] = fn
+        (self._component_fns if component else self._exec_fns)[thread_id] = fn
         return fn
 
-    def _kernel_namespace(self, thread_id: int, bundle) -> dict:
+    def _kernel_namespace(self, thread_id: int, bundle,
+                          component: bool = False) -> dict:
         """Globals of one generated kernel: bound state + per-thread masks.
 
         Every bound object is identity-stable across branches (storage lists
         are reset in place, the history dicts are cleared in place); events
         that do change identities — flushes, key rotation, stats resets —
-        invalidate the kernel itself.
+        invalidate the kernel itself.  Component kernels record no
+        statistics, so they bind no stats object.
         """
         namespace = {
             "flat": self._flat,
@@ -591,10 +618,11 @@ class TagePredictor(DirectionPredictor):
             "path_values": self._path._values,
             "ghr_values": self._ghr._values,
             "regs": self._folded_regs(thread_id),
-            "pstats": self.stats(thread_id),
             "predictor": self,
             "TID": thread_id,
         }
+        if not component:
+            namespace["pstats"] = self.stats(thread_id)
         if self._old_gather is not None:
             namespace["old_gather"] = self._old_gather
         else:
@@ -614,7 +642,8 @@ class TagePredictor(DirectionPredictor):
             namespace["BRK"] = base_row_keys
         return namespace
 
-    def _kernel_source(self, encoded: bool, diversified: bool) -> str:
+    def _kernel_source(self, encoded: bool, diversified: bool,
+                       component: bool = False) -> str:
         """Generate the source of one specialised kernel arm.
 
         Two arms exist: the *passthrough* arm (baseline / flush presets) and
@@ -625,7 +654,9 @@ class TagePredictor(DirectionPredictor):
         namespace entries instead of recompiling.  Statement order mirrors
         :meth:`_execute_generic` exactly — the parity suite holds the
         generated kernels, the generic path and the scalar engine
-        bit-identical.
+        bit-identical.  ``component`` selects the composable variant of
+        either arm (see :meth:`component_kernel`): no statistics, and the
+        confidence bit returned next to the prediction.
         """
         cfg = self.config
         n = cfg.n_tables
@@ -749,10 +780,13 @@ class TagePredictor(DirectionPredictor):
         emit("        use_alt = False")
         emit("        predicted = base_taken")
         # -- stats (recorded between lookup and update, as in the BPU) -------
-        emit("    pstats.lookups += 1")
-        emit("    mispredicted = predicted != taken")
-        emit("    if mispredicted:")
-        emit("        pstats.mispredictions += 1")
+        if component:
+            emit("    mispredicted = predicted != taken")
+        else:
+            emit("    pstats.lookups += 1")
+            emit("    mispredicted = predicted != taken")
+            emit("    if mispredicted:")
+            emit("        pstats.mispredictions += 1")
         # -- update ----------------------------------------------------------
         emit("    count = predictor._update_count + 1")
         emit("    predictor._update_count = count")
@@ -858,16 +892,24 @@ class TagePredictor(DirectionPredictor):
         pcb = self._path._pc_bits
         emit(f"    path_values[TID] = ((path_value << {pcb})"
              f" | (pc2 & {(1 << pcb) - 1})) & {self._path._mask}")
-        emit("    return predicted")
+        if component:
+            # Confidence: a weak 2-bit base counter (1 or 2) is not confident.
+            emit("    return predicted, (not use_alt if provider >= 0 else"
+                 " (base_counter != 1 and base_counter != 2))")
+        else:
+            emit("    return predicted")
         return "\n".join(lines) + "\n"
 
-    def _execute_generic(self, pc: int, taken: bool, thread_id: int) -> bool:
+    def _execute_generic(self, pc: int, taken: bool, thread_id: int,
+                         component: bool = False):
         """Fused execute for non-fusable isolation policies.
 
         Structurally the same flow as :meth:`execute`, but every storage
         access goes through the table API so owner tracking (Precise Flush)
         and non-XOR encoders (S-box / shift-XOR ablations) keep their exact
-        generic-dispatch semantics.
+        generic-dispatch semantics.  With ``component`` it is the generic
+        arm of :meth:`component_kernel`: no statistics, and the result is
+        ``(predicted, confident)``.
         """
         (n_tables, ctr_shift, ctr_mask, u_mask, tag_mask, weak_taken,
          taken_threshold, use_alt_threshold, useful_bits, base_index_mask,
@@ -934,12 +976,13 @@ class TagePredictor(DirectionPredictor):
             predicted = base_taken
 
         # -- stats -----------------------------------------------------------
-        pstats = self._stats.get(thread_id)
-        if pstats is None:
-            pstats = self._stats[thread_id] = PredictorStats()
-        pstats.lookups += 1
-        if predicted != taken:
-            pstats.mispredictions += 1
+        if not component:
+            pstats = self._stats.get(thread_id)
+            if pstats is None:
+                pstats = self._stats[thread_id] = PredictorStats()
+            pstats.lookups += 1
+            if predicted != taken:
+                pstats.mispredictions += 1
 
         # -- update ----------------------------------------------------------
         mispredicted = predicted != taken
@@ -1012,6 +1055,9 @@ class TagePredictor(DirectionPredictor):
         path_obj._values[thread_id] = \
             ((path_value << path_obj._pc_bits)
              | (pc2 & ((1 << path_obj._pc_bits) - 1))) & path_obj._mask
+        if component:
+            return predicted, (not use_alt if provider >= 0
+                               else base_counter != 1 and base_counter != 2)
         return predicted
 
     def _allocate(self, pc: int, taken: bool, provider: int,
@@ -1144,6 +1190,7 @@ class TagePredictor(DirectionPredictor):
         self._folded_state.clear()
         # The specialised kernels bind the (now dropped) folded registers.
         self._exec_fns.clear()
+        self._component_fns.clear()
 
     def flush_thread(self, thread_id: int) -> None:
         self._base.flush_thread(thread_id)
@@ -1153,6 +1200,7 @@ class TagePredictor(DirectionPredictor):
         self._path.clear(thread_id)
         self._folded_state.pop(thread_id, None)
         self._exec_fns.pop(thread_id, None)
+        self._component_fns.pop(thread_id, None)
 
     def reset_stats(self) -> None:
         super().reset_stats()

@@ -8,15 +8,22 @@ content and index keys attach).  The composition is:
 2. the loop predictor overrides TAGE for confidently captured loops;
 3. the statistical corrector may override the combined prediction when its
    signed vote is strong and disagrees.
+
+The batched engines drive it through a composite execute kernel (see
+:mod:`repro.predictors.ltage` for why running the components' steps back
+to back, TAGE first, is bit-identical to the scalar protocol): it samples
+TAGE's global history, runs TAGE's component kernel, the loop step, then
+one fused SC step that reads each SC counter once for vote and training.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional
 
-from .base import DirectionPrediction, DirectionPredictor
+from .base import DirectionPrediction
 from .counters import counter_strength
 from .loop import LoopPredictor
+from .ltage import TageComposite
 from .statistical_corrector import StatisticalCorrector
 from .table import PredictorTable, TableIsolation
 from .tage import TageConfig, TagePredictor
@@ -24,7 +31,7 @@ from .tage import TageConfig, TagePredictor
 __all__ = ["TageScLPredictor"]
 
 
-class TageScLPredictor(DirectionPredictor):
+class TageScLPredictor(TageComposite):
     """TAGE + SC + L composite predictor.
 
     Args:
@@ -50,6 +57,7 @@ class TageScLPredictor(DirectionPredictor):
                                    word_bits=word_bits)
         self._loop = LoopPredictor(loop_entries, isolation=isolation)
         self._sc = StatisticalCorrector(sc_entries, isolation=isolation)
+        self._init_kernels()
 
     def _tage_confident(self, tage_pred: DirectionPrediction) -> bool:
         meta = tage_pred.meta
@@ -87,30 +95,34 @@ class TageScLPredictor(DirectionPredictor):
         self._loop.update(pc, taken, thread_id)
         self._tage.update(pc, taken, meta["tage"], thread_id)
 
+    def _components(self) -> list:
+        return [self._tage, self._loop, self._sc]
+
+    def _compose(self, thread_id: int, tage_step, loop_step, pstats):
+        sc_step = self._sc.step_kernel(thread_id)
+        ghr_values = self._tage.global_history._values
+        tid = thread_id
+
+        def fn(pc, taken, _thread_id=0):
+            ghr_value = ghr_values.get(tid, 0)
+            pre_sc_taken, confident = tage_step(pc, taken)
+            loop_taken = loop_step(pc, taken)
+            if loop_taken is not None:
+                pre_sc_taken = loop_taken
+                confident = True
+            predicted = sc_step(pc, taken, ghr_value, pre_sc_taken, confident)
+            pstats.lookups += 1
+            if predicted != taken:
+                pstats.mispredictions += 1
+            return predicted
+
+        return fn, (tage_step, loop_step, sc_step)
+
     def tables(self) -> List[PredictorTable]:
         return self._tage.tables() + [self._loop.table] + self._sc.tables()
-
-    @property
-    def tage(self) -> TagePredictor:
-        """The TAGE component."""
-        return self._tage
-
-    @property
-    def loop(self) -> LoopPredictor:
-        """The loop-predictor component."""
-        return self._loop
 
     @property
     def statistical_corrector(self) -> StatisticalCorrector:
         """The statistical-corrector component."""
         return self._sc
 
-    def flush(self) -> None:
-        self._tage.flush()
-        self._loop.flush()
-        self._sc.flush()
-
-    def flush_thread(self, thread_id: int) -> None:
-        self._tage.flush_thread(thread_id)
-        self._loop.flush_thread(thread_id)
-        self._sc.flush_thread(thread_id)

@@ -51,34 +51,50 @@ from repro.workloads.generator import make_workload
 MASTER_SEED = 0xD1FF5EED
 
 PRESETS = sorted(preset_names())
-PREDICTORS = ["tage", "gshare", "tournament", "bimodal"]
+PREDICTORS = ["tage", "gshare", "tournament", "bimodal", "ltage", "tage_sc_l"]
+#: Predictors of the switch-boundary cases: every predictor with a packed
+#: execute kernel, so the raw encoded storage of all their tables (TAGE,
+#: loop, statistical corrector, tournament) is compared at every boundary.
+BOUNDARY_PREDICTORS = ["tage", "gshare", "tournament", "ltage", "tage_sc_l"]
 WORKLOADS = ["gcc", "mcf", "milc", "gobmk", "povray", "calculix"]
 
-N_ENGINE_CASES = 24
-N_BOUNDARY_CASES = 10
+N_ENGINE_CASES = len(PRESETS) * len(PREDICTORS)
+N_BOUNDARY_CASES = len(PRESETS) * len(BOUNDARY_PREDICTORS)
 
 _HAS_NUMPY = importlib.util.find_spec("numpy") is not None
 
-# The samplers guarantee every preset a deterministic slot before random
-# fill; keep the case counts in step with the preset list as it grows.
-assert N_ENGINE_CASES >= 2 * len(PRESETS)
-assert N_BOUNDARY_CASES >= len(PRESETS)
+# The samplers give every (preset, predictor) pair a deterministic slot
+# before random fill; keep the case counts in step with the lists as they
+# grow.
+assert N_ENGINE_CASES >= len(PRESETS) * len(PREDICTORS)
+assert N_BOUNDARY_CASES >= len(PRESETS) * len(BOUNDARY_PREDICTORS)
+
+
+def _pair_slot(i, predictors):
+    """(preset, predictor) of slot ``i`` of the cross-product prefix."""
+    return (PRESETS[i % len(PRESETS)],
+            predictors[(i // len(PRESETS)) % len(predictors)])
 
 
 def _sample_engine_cases():
     """Sample (preset, predictor, core-kind, schedule) engine-level cases.
 
-    Every preset appears at least twice (single-thread and SMT rotation)
-    before the remainder is filled randomly, so no isolation arm can drop
-    out of coverage as the lists grow.
+    Every (preset, predictor) pair has one deterministic slot before the
+    remainder is filled randomly, so no isolation arm or predictor kernel
+    can drop out of coverage as the lists grow.  The core kind alternates
+    per slot and flips between predictor blocks, so every preset runs on
+    both the single-thread and the SMT core.
     """
     rng = random.Random(MASTER_SEED)
+    n_pairs = len(PRESETS) * len(PREDICTORS)
     cases = []
     for i in range(N_ENGINE_CASES):
-        preset = PRESETS[i % len(PRESETS)] if i < 2 * len(PRESETS) \
-            else rng.choice(PRESETS)
-        predictor = rng.choice(PREDICTORS)
-        kind = "smt" if i % 2 else "single"
+        if i < n_pairs:
+            preset, predictor = _pair_slot(i, PREDICTORS)
+        else:
+            preset = rng.choice(PRESETS)
+            predictor = rng.choice(PREDICTORS)
+        kind = "smt" if (i + i // len(PRESETS)) % 2 else "single"
         # Randomised OS-event schedule: context-switch interval and (for the
         # single-thread core) syscall scaling vary per case, so warm-up
         # resets, flushes and rekeys land at different trace positions.
@@ -92,11 +108,14 @@ def _sample_engine_cases():
 
 def _sample_boundary_cases():
     rng = random.Random(MASTER_SEED ^ 0xB0B)
+    n_pairs = len(PRESETS) * len(BOUNDARY_PREDICTORS)
     cases = []
     for i in range(N_BOUNDARY_CASES):
-        preset = PRESETS[i % len(PRESETS)] if i < len(PRESETS) \
-            else rng.choice(PRESETS)
-        predictor = rng.choice(["tage", "gshare"])
+        if i < n_pairs:
+            preset, predictor = _pair_slot(i, BOUNDARY_PREDICTORS)
+        else:
+            preset = rng.choice(PRESETS)
+            predictor = rng.choice(BOUNDARY_PREDICTORS)
         workload = rng.choice(WORKLOADS)
         # Random (co-prime-ish) switch/rekey periods and thread interleave.
         switch_every = rng.choice([37, 61, 97, 131])

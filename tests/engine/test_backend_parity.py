@@ -151,12 +151,17 @@ class TestKernelEngagement:
         after = fetch(0)
         assert after is not before
 
-    def test_generic_direction_predictor_falls_through(self):
-        """Tournament has no kernel protocol: both backends agree on that."""
+    @pytest.mark.parametrize("predictor", ["tournament", "ltage",
+                                           "tage_sc_l"])
+    def test_unaccelerated_direction_predictor_falls_through(self, predictor):
+        """Predictors without numpy kernels get their reference kernels."""
         backend = get_backend("numpy")
-        bpu = build_bpu(fpga_prototype("tournament"), "xor_bp", seed=7)
-        assert backend.direction_kernel_fetch(bpu.direction) is \
-            get_backend("python").direction_kernel_fetch(bpu.direction)
+        bpu = build_bpu(fpga_prototype(predictor), "xor_bp", seed=7)
+        fetch = backend.direction_kernel_fetch(bpu.direction)
+        assert fetch == get_backend("python").direction_kernel_fetch(
+            bpu.direction)
+        assert fetch(0) is bpu.direction.exec_kernel(0)
+        assert getattr(fetch(0), "backend", None) is None
 
 
 class TestBackendSelectionThroughCore:
