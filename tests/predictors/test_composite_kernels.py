@@ -184,6 +184,22 @@ class TestScalarEquivalence:
         assert fast.total_stats() == slow.total_stats()
 
 
+def test_tournament_with_distinct_choice_geometry_matches_scalar():
+    # A choice table sized apart from the global table cannot share its
+    # index; the kernel then runs the reference protocol.
+    fast = make_direction_predictor("tournament", choice_entries=4096)
+    slow = make_direction_predictor("tournament", choice_entries=4096)
+    assert fast.exec_kernel(0).arm == "generic"
+    for i, (pc, taken) in enumerate(_branch_stream(2_000, seed=5)):
+        prediction = slow.lookup(pc, i % 2)
+        slow.stats(i % 2).record(prediction.taken == taken)
+        slow.update(pc, taken, prediction, i % 2)
+        assert fast.execute(pc, taken, i % 2) == prediction.taken
+    assert [list(t.rows()) for t in fast.tables()] \
+        == [list(t.rows()) for t in slow.tables()]
+    assert fast.total_stats() == slow.total_stats()
+
+
 def test_unregistered_predictor_construction_still_works():
     # Composites built outside the registry (no isolation) get kernels too.
     for name in KERNEL_PREDICTORS:
