@@ -196,7 +196,6 @@ class LoopPredictor:
                                           | (current << trip_shift)) ^ key
                 return predicted
 
-            step.arm = "fused-xor" if table._xor_fast else "passthrough"
         else:
             read = table.read
             write = table.write
@@ -225,7 +224,6 @@ class LoopPredictor:
                     write(index, pack(lookup_tag, current, 0, 0), tid)
                 return predicted
 
-            step.arm = "generic"
         return step
 
     # -- structure access -----------------------------------------------------

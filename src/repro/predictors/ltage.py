@@ -66,7 +66,7 @@ class TageComposite(DirectionPredictor):
         raise NotImplementedError
 
     def _compose(self, thread_id: int, tage_step, loop_step, pstats):
-        """Return ``(kernel, component steps)`` for one hardware thread."""
+        """Return the kernel of one hardware thread."""
         raise NotImplementedError
 
     def execute(self, pc: int, taken: bool, thread_id: int = 0) -> bool:
@@ -94,14 +94,15 @@ class TageComposite(DirectionPredictor):
 
     def _build_exec_fn(self, thread_id: int):
         """Build, cache and return one thread's composite kernel."""
-        fn, steps = self._compose(thread_id,
-                                  self._tage.component_kernel(thread_id),
-                                  self._loop.step_kernel(thread_id),
-                                  self.stats(thread_id))
-        # The kernel runs one arm only when every component step does (the
-        # steps pick their arms from their own tables' storage flags).
-        arms = {step.arm for step in steps}
-        fn.arm = arms.pop() if len(arms) == 1 else "generic"
+        fn = self._compose(thread_id, self._tage.component_kernel(thread_id),
+                           self._loop.step_kernel(thread_id),
+                           self.stats(thread_id))
+        # Each component step picks its arm from its own tables' storage
+        # flags, so the kernel runs one packed arm only when all tables do.
+        tables = self.tables()
+        fn.arm = ("passthrough" if all(t._fast for t in tables)
+                  else "fused-xor" if all(t._xor_fast for t in tables)
+                  else "generic")
         self._exec_fns[thread_id] = fn
         return fn
 
@@ -193,7 +194,7 @@ class LTagePredictor(TageComposite):
                 pstats.mispredictions += 1
             return predicted
 
-        return fn, (tage_step, loop_step)
+        return fn
 
     def tables(self) -> List[PredictorTable]:
         return self._tage.tables() + [self._loop.table]

@@ -186,7 +186,9 @@ class StatisticalCorrector:
                      "bw_values": self._backward_history._values,
                      "lht": self._local_history._entries}
         for j, table in enumerate(tables):
-            namespace[f"T{j}"] = table
+            if arm == "generic":
+                namespace[f"T{j}"] = table
+                continue
             namespace[f"D{j}"] = table._data
             if arm == "fused-xor":
                 masks = table._xor_masks.get(thread_id)
@@ -194,10 +196,8 @@ class StatisticalCorrector:
                     masks = table._build_xor_masks(thread_id)
                 namespace[f"IK{j}"], namespace[f"CK{j}"], \
                     namespace[f"RK{j}"] = masks
-        step = build_kernel(self._step_source(arm), f"<sc-kernel {arm}>",
+        return build_kernel(self._step_source(arm), f"<sc-kernel {arm}>",
                             namespace)
-        step.arm = arm
-        return step
 
     def _step_source(self, arm: str) -> str:
         """Generate the source of one fused SC step arm.

@@ -116,7 +116,7 @@ class TageScLPredictor(TageComposite):
                 pstats.mispredictions += 1
             return predicted
 
-        return fn, (tage_step, loop_step, sc_step)
+        return fn
 
     def tables(self) -> List[PredictorTable]:
         return self._tage.tables() + [self._loop.table] + self._sc.tables()
