@@ -16,16 +16,10 @@ case1, gcc+calculix, FPGA-prototype core):
   trajectory tracks the paper's encoded mechanisms — which ride the fused
   XOR fast paths — and not just the baseline.
 
-* **Backend sweep** (batched engine, larger budget): the ``python``
-  reference backend versus the ``numpy`` vectorized backend on the TAGE
-  presets the numpy window kernels target.  Skipped (and recorded as
-  unavailable) when numpy is not importable.
-
 Every swept configuration is asserted to actually run on its intended fast
-path (monomorphic passthrough or fused-XOR), and every numpy arm is
-asserted to really receive the vectorized window kernels; a silent
-fallback to the generic dispatch or the reference backend fails the
-benchmark rather than quietly reporting wrong numbers.
+path (monomorphic passthrough or fused-XOR); a silent fallback to the
+generic dispatch fails the benchmark rather than quietly reporting wrong
+numbers.
 
 Writes ``BENCH_engine.json`` at the repository root.  Run with::
 
@@ -35,7 +29,7 @@ CI runs the reduced-scale smoke mode, which measures one encoded preset and
 verifies the fast path without touching ``BENCH_engine.json``::
 
     PYTHONPATH=src python benchmarks/bench_engine_throughput.py \
-        --smoke --preset noisy_xor_bp --backend numpy
+        --smoke --preset noisy_xor_bp
 """
 
 from __future__ import annotations
@@ -76,31 +70,15 @@ SWEEP_PREDICTORS = ("tage", "gshare")
 #: ``DirectionPredictor.execute`` fallback.
 SMOKE_KERNEL_PREDICTORS = ("tournament", "ltage", "tage_sc_l")
 
-#: Backend sweep: the presets whose hot loop the numpy window kernels
-#: target (TAGE table walk, passthrough and fused-XOR arms).  Measured at
-#: a larger branch budget than the other groups — the backend gap is a few
-#: tens of percent, which the default budget cannot resolve reliably.
-BACKEND_PRESETS = ("baseline", "xor_bp", "noisy_xor_bp")
-BACKEND_SCALE = ExperimentScale(st_target_branches=60_000,
-                                st_warmup_branches=5_000)
-
-try:
-    import numpy  # noqa: F401
-    _HAS_NUMPY = True
-except ImportError:
-    _HAS_NUMPY = False
-
 
 def _build_core(preset: str = "baseline", predictor: str = "tage",
-                scale: ExperimentScale = SCALE,
-                backend: str = "python") -> SingleThreadCore:
+                scale: ExperimentScale = SCALE) -> SingleThreadCore:
     config = fpga_prototype(predictor)
     workloads = make_pair_workloads(PAIR, seed=scale.seed)
     bpu = build_bpu(config, preset, seed=scale.seed + 1)
     return SingleThreadCore(config, bpu, workloads,
                             time_scale=scale.time_scale,
-                            syscall_time_scale=scale.syscall_time_scale,
-                            backend=backend)
+                            syscall_time_scale=scale.syscall_time_scale)
 
 
 def _disable_fast_paths(core: SingleThreadCore) -> None:
@@ -167,48 +145,18 @@ def assert_fast_path(core: SingleThreadCore, preset: str) -> None:
                 f"(encoded={bool(bundle[0])}, expected {want_pht_xor})")
 
 
-def assert_backend_kernels(core: SingleThreadCore, preset: str,
-                           backend: str) -> None:
-    """Fail loudly unless the numpy backend hands out vectorized kernels.
-
-    The numpy arms are only a benchmark of the vectorized window kernels
-    if those kernels really reach the engine: each one must report
-    ``backend == "numpy"`` while preserving the reference kernel's
-    dispatch arm.
-    """
-    if backend != "numpy":
-        return
-    bpu = core.bpu
-    base = bpu.direction.exec_kernel(0)
-    kernel = core.backend.direction_kernel_fetch(bpu.direction)(0)
-    if getattr(kernel, "backend", None) != "numpy":
-        raise AssertionError(
-            f"{preset}: {bpu.direction.name} fell back to the reference "
-            f"kernel under the numpy backend")
-    if kernel.arm != base.arm:
-        raise AssertionError(
-            f"{preset}: numpy {bpu.direction.name} kernel runs the "
-            f"{kernel.arm!r} arm, reference runs {base.arm!r}")
-    probe = core.backend.conditional_kernel_fetch(bpu.btb)(0)
-    if getattr(probe, "backend", None) != "numpy":
-        raise AssertionError(
-            f"{preset}: BTB probe fell back to the reference kernel "
-            f"under the numpy backend")
-
-
 def _measure(engine: str, *, preset: str = "baseline", predictor: str = "tage",
              seed_equivalent: bool = False, repeats: int = REPEATS,
-             scale: ExperimentScale = SCALE, check_fast_path: bool = False,
-             backend: str = "python") -> dict:
+             scale: ExperimentScale = SCALE,
+             check_fast_path: bool = False) -> dict:
     best = 0.0
     branches = 0
     for _ in range(repeats):
-        core = _build_core(preset, predictor, scale, backend)
+        core = _build_core(preset, predictor, scale)
         if seed_equivalent:
             _disable_fast_paths(core)
         elif check_fast_path:
             assert_fast_path(core, preset)
-            assert_backend_kernels(core, preset, backend)
         start = time.perf_counter()
         result = core.run(target_branches=scale.st_target_branches,
                           warmup_branches=scale.st_warmup_branches,
@@ -220,22 +168,20 @@ def _measure(engine: str, *, preset: str = "baseline", predictor: str = "tage",
             # Re-check after the run: switches re-randomise masks mid-run
             # and must land back on the fast path, not the generic one.
             assert_fast_path(core, preset)
-            assert_backend_kernels(core, preset, backend)
     return {"branches_per_second": round(best, 1),
             "branches_simulated": branches}
 
 
-def run_smoke(preset: str, repeats: int, backend: str) -> None:
+def run_smoke(preset: str, repeats: int) -> None:
     """Reduced-scale CI smoke: measure one preset, verify its fast paths.
 
-    TAGE runs on ``backend``; the tournament, LTAGE and TAGE-SC-L kernels,
-    which no accelerated backend replaces, run on the python reference
-    backend.
+    TAGE is measured over ``repeats`` runs; the tournament, LTAGE and
+    TAGE-SC-L kernels are checked over one run each.
     """
     scale = ExperimentScale(st_target_branches=4_000, st_warmup_branches=1_000)
     entry = _measure("batched", preset=preset, repeats=repeats, scale=scale,
-                     check_fast_path=True, backend=backend)
-    print(f"smoke {preset} ({backend} backend): "
+                     check_fast_path=True)
+    print(f"smoke {preset}: "
           f"{entry['branches_per_second']:,.0f} branches/s "
           f"({entry['branches_simulated']} branches), fast path verified")
     for predictor in SMOKE_KERNEL_PREDICTORS:
@@ -252,14 +198,11 @@ def main(argv=None) -> dict:
                         help="reduced-scale fast-path smoke (no JSON output)")
     parser.add_argument("--preset", default="noisy_xor_bp",
                         help="preset used by --smoke (default: noisy_xor_bp)")
-    parser.add_argument("--backend", default="python",
-                        help="execution backend used by --smoke "
-                             "(default: python)")
     parser.add_argument("--repeats", type=int, default=REPEATS)
     args = parser.parse_args(argv)
 
     if args.smoke:
-        run_smoke(args.preset, args.repeats, args.backend)
+        run_smoke(args.preset, args.repeats)
         return {}
 
     print(f"case={PAIR.case} ({PAIR.label()}), config=fpga_prototype, "
@@ -285,26 +228,6 @@ def main(argv=None) -> dict:
             print(f"  {predictor:7s}/{preset:12s} "
                   f"{entry['branches_per_second']:>12,.0f} branches/s")
 
-    backends = {}
-    if _HAS_NUMPY:
-        for preset in BACKEND_PRESETS:
-            row = {}
-            for backend in ("python", "numpy"):
-                row[backend] = _measure(
-                    "batched", preset=preset, repeats=args.repeats,
-                    scale=BACKEND_SCALE, check_fast_path=True,
-                    backend=backend)
-            row["speedup_numpy_vs_python"] = round(
-                row["numpy"]["branches_per_second"]
-                / row["python"]["branches_per_second"], 2)
-            backends[preset] = row
-            print(f"  tage/{preset:12s} numpy "
-                  f"{row['speedup_numpy_vs_python']:.2f}x vs python "
-                  f"({row['numpy']['branches_per_second']:,.0f} vs "
-                  f"{row['python']['branches_per_second']:,.0f} branches/s)")
-    else:
-        print("  numpy unavailable; backend sweep skipped")
-
     batched = engines["batched"]["branches_per_second"]
     payload = {
         "benchmark": "engine_throughput",
@@ -317,8 +240,6 @@ def main(argv=None) -> dict:
         "warmup_branches": SCALE.st_warmup_branches,
         "engines": engines,
         "presets": presets,
-        "backends": backends if _HAS_NUMPY else "numpy unavailable",
-        "backend_target_branches": BACKEND_SCALE.st_target_branches,
         "speedup_batched_vs_seed_scalar": round(
             batched / engines["seed_scalar"]["branches_per_second"], 2),
         "speedup_batched_vs_scalar": round(

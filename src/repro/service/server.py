@@ -15,13 +15,14 @@ GET    ``/v1/jobs/<id>/files``         list finished output files
 GET    ``/v1/jobs/<id>/files/<name>``  one output file (figure JSON/text)
 GET    ``/v1/jobs/<id>/report``        self-contained HTML report of the job
 GET    ``/v1/store/export``            store export (``?manifest=H`` scopes)
-GET    ``/v1/health``                  liveness + engine/backend + job counts
+GET    ``/v1/health``                  liveness + engine revision + job counts
 ====== =============================== =====================================
 
 Every error body is ``{"error": "<named message>"}`` — validation failures
 carry the same field-attributed messages the CLI parsers print, with status
-400; unknown paths/jobs 404; handler crashes 500.  The event stream uses
-HTTP/1.1 chunked transfer encoding with one JSON object per line and an
+400; a job body declared larger than :data:`MAX_JOB_BODY` 413; unknown
+paths/jobs 404; handler crashes 500.  The event stream uses HTTP/1.1
+chunked transfer encoding with one JSON object per line and an
 ``{"event": "pending"}`` heartbeat while the job makes no progress, so a
 client's socket timeout never trips on a long simulation.
 """
@@ -41,12 +42,17 @@ from typing import List, Optional, Tuple
 from ..experiments.executor import ENGINE_VERSION
 from .scheduler import JobScheduler
 
-__all__ = ["DEFAULT_PORT", "SimulationService"]
+__all__ = ["DEFAULT_PORT", "MAX_JOB_BODY", "SimulationService"]
 
 logger = logging.getLogger(__name__)
 
 #: Default TCP port of ``repro serve`` (and the client's default URL).
 DEFAULT_PORT = 8378
+
+#: Largest ``POST /v1/jobs`` body accepted, in bytes.  Job submissions are a
+#: few hundred bytes; a larger declared length is refused with 413 before
+#: any of the body is read.
+MAX_JOB_BODY = 1 << 20
 
 #: Served output files are the flat ``write_outputs`` names
 #: (``<experiment>.json``/``.txt``, ``summary.json``); anything else —
@@ -131,16 +137,22 @@ class _Handler(BaseHTTPRequestHandler):
     def service(self) -> SimulationService:
         return self.server.service  # type: ignore[attr-defined]
 
-    def _send_json(self, status: int, payload: dict) -> None:
+    def _send_json(self, status: int, payload: dict, *,
+                   close: bool = False) -> None:
         body = json.dumps(payload, sort_keys=True).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if close:
+            # Also sets ``close_connection``: an unread request body must
+            # never be parsed as the next request on a kept-alive socket.
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
-    def _send_error(self, status: int, message: str) -> None:
-        self._send_json(status, {"error": message})
+    def _send_error(self, status: int, message: str, *,
+                    close: bool = False) -> None:
+        self._send_json(status, {"error": message}, close=close)
 
     def _route(self) -> Tuple[str, dict]:
         parsed = urllib.parse.urlsplit(self.path)
@@ -199,12 +211,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- endpoints --------------------------------------------------------------
     def _get_health(self) -> None:
-        from ..engine import env_backend
-
         self._send_json(200, {
             "status": "ok",
             "engine": ENGINE_VERSION,
-            "backend": env_backend(),
             "jobs": self.service.scheduler.queue.counts(),
         })
 
@@ -212,7 +221,16 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             length = int(self.headers.get("Content-Length") or 0)
         except ValueError:
-            return self._send_error(400, "malformed Content-Length")
+            return self._send_error(400, "malformed Content-Length",
+                                    close=True)
+        if length < 0:
+            # ``rfile.read(-1)`` would block until the client hangs up.
+            return self._send_error(400, f"negative Content-Length {length}",
+                                    close=True)
+        if length > MAX_JOB_BODY:
+            return self._send_error(
+                413, f"job request body of {length} bytes exceeds the "
+                     f"{MAX_JOB_BODY}-byte limit", close=True)
         raw = self.rfile.read(length) if length else b""
         try:
             payload = json.loads(raw.decode("utf-8")) if raw else {}

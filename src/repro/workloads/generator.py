@@ -187,8 +187,7 @@ class SyntheticWorkload:
 
     # -- trace generation --------------------------------------------------------
     def record_batches(self, n: int = 1024,
-                       seed_offset: int = 0, *,
-                       gap_block=None) -> Iterator[List[tuple]]:
+                       seed_offset: int = 0) -> Iterator[List[tuple]]:
         """Endless stream of branch-record *batches* (the engine hot path).
 
         Each yielded batch is a list of at least ``n`` plain tuples
@@ -221,14 +220,6 @@ class SyntheticWorkload:
             seed_offset: perturbs the dynamic RNG so the same workload can be
                 replayed with a different interleaving (used by SMT runs to
                 decorrelate the two copies of a benchmark).
-            gap_block: optional bulk gap sampler
-                ``gap_block(rng, count, neg_mean_gap) -> [gap, ...]`` used
-                for whole loop bursts.  It must consume exactly ``count``
-                ``rng.random()`` draws and return the same
-                ``int(log(1 - u) * neg_mean_gap) + 1`` values the scalar
-                path would produce, so the record stream stays
-                bit-identical (the numpy backend supplies a vectorized
-                implementation).
         """
         profile = self.profile
         rng = random.Random((_stable_hash(profile.name)
@@ -347,24 +338,13 @@ class SyntheticWorkload:
                 pc = site_pc[site_index]
                 target = site_target[site_index]
                 # Emit the whole loop: (trip - 1) taken back-edges, then exit.
-                if gap_block is not None and trip >= 4:
-                    # Draw all `trip` gaps in one bulk call; the hook must
-                    # replay rng.random() bit-exactly (same draws, same
-                    # order), so both paths yield identical records.
-                    gaps = gap_block(rng, trip, neg_mean_gap)
-                    last = trip - 1
-                    batch.extend(
-                        (pc, True, target, conditional, gaps[k], False)
-                        for k in range(last))
-                    append((pc, False, target, conditional, gaps[last], False))
-                else:
-                    for _ in range(trip - 1):
-                        append((pc, True, target, conditional,
-                                int(log(1.0 - random_()) * neg_mean_gap) + 1,
-                                False))
-                    append((pc, False, target, conditional,
+                for _ in range(trip - 1):
+                    append((pc, True, target, conditional,
                             int(log(1.0 - random_()) * neg_mean_gap) + 1,
                             False))
+                append((pc, False, target, conditional,
+                        int(log(1.0 - random_()) * neg_mean_gap) + 1,
+                        False))
             else:
                 if kind == pattern_kind:
                     period = int(sites[site_index].aux)

@@ -296,28 +296,20 @@ class TestRepetitionsOption:
             in capsys.readouterr().out
 
 
-class TestBackendOption:
-    def test_unknown_backend_flag_rejected(self, capsys):
-        assert main(["run", "table2", "--backend", "cuda"]) == 2
-        err = capsys.readouterr().err
-        assert "--backend" in err and "'cuda'" in err
+class TestNoBackendSelection:
+    """The python kernels are the only execution path: nothing selects one."""
 
-    def test_backend_flag_exported_for_workers(self, capsys):
-        # The flag reaches the environment so executor worker processes
-        # inherit the same backend selection.
-        assert main(["run", "table2", "--backend", "python"]) == 0
-        assert os.environ.get("REPRO_BACKEND") == "python"
+    @pytest.mark.parametrize("command", ["run", "serve", "submit"])
+    def test_backend_flag_is_unrecognized(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--backend", "python"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
-    def test_numpy_backend_flag_accepted(self, capsys):
-        pytest.importorskip("numpy")
-        assert main(["run", "table2", "--backend", "numpy"]) == 0
-        assert os.environ.get("REPRO_BACKEND") == "numpy"
-
-    def test_malformed_env_backend_rejected_before_planning(self, capsys,
-                                                            monkeypatch):
+    def test_stray_backend_env_var_is_ignored(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "gpu")
-        assert main(["run", "all", "--experiments", "table5"]) == 2
-        assert "REPRO_BACKEND" in capsys.readouterr().err
+        assert main(["run", "table2"]) == 0
+        assert "REPRO_BACKEND" not in capsys.readouterr().err
 
 
 class TestStoreCommand:

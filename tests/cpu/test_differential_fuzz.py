@@ -14,23 +14,17 @@ configurations and drives them through three independent implementations:
 * the batched/fast machinery with every storage fast path **forced onto the
   generic virtual dispatch** (the semantic reference for the fused arms).
 
-When numpy is importable the same sampled cases additionally run under the
-**numpy execution backend** (vectorized window kernels), which promises the
-identical bit-for-bit contract versus the default python backend — both on
-its fast paths and when forced onto the generic dispatch (where it must
-fall through to the reference kernels untouched).
-
-Engine-level cases compare complete :class:`RunResult` snapshots.  BPU-level
-cases additionally stop at every context-switch / rekey boundary and compare
-the *raw (still encoded) storage bits* of all direction tables and the BTB,
-so a kernel that drifts only between switches — where no end-of-run
-statistic would catch it — still fails at the exact boundary.
+Engine-level cases compare complete :class:`RunResult` snapshots and the
+end-of-run raw storage of both engines.  BPU-level cases additionally stop
+at every context-switch / rekey boundary and compare the *raw (still
+encoded) storage bits* of all direction tables and the BTB, so a kernel
+that drifts only between switches — where no end-of-run statistic would
+catch it — still fails at the exact boundary.
 
 The harness is deliberately reusable: future kernel rewrites extend
 ``PRESETS`` / ``PREDICTORS`` or raise ``N_*`` and inherit the whole layer.
 """
 
-import importlib.util
 import random
 
 import pytest
@@ -60,8 +54,6 @@ WORKLOADS = ["gcc", "mcf", "milc", "gobmk", "povray", "calculix"]
 
 N_ENGINE_CASES = len(PRESETS) * len(PREDICTORS)
 N_BOUNDARY_CASES = len(PRESETS) * len(BOUNDARY_PREDICTORS)
-
-_HAS_NUMPY = importlib.util.find_spec("numpy") is not None
 
 # The samplers give every (preset, predictor) pair a deterministic slot
 # before random fill; keep the case counts in step with the lists as they
@@ -152,7 +144,15 @@ def _result_snapshot(result):
 
 
 def _run_case(preset, predictor, kind, time_scale, syscall_scale, seed, *,
-              engine, force_generic=False, backend=None):
+              engine, force_generic=False):
+    return _run_case_with_bpu(preset, predictor, kind, time_scale,
+                              syscall_scale, seed, engine=engine,
+                              force_generic=force_generic)[0]
+
+
+def _run_case_with_bpu(preset, predictor, kind, time_scale, syscall_scale,
+                       seed, *, engine, force_generic=False):
+    """Run one sampled case; return ``(RunResult, bpu)``."""
     scale = ExperimentScale(
         time_scale=time_scale, smt_time_scale=2 * time_scale,
         syscall_time_scale=syscall_scale,
@@ -168,11 +168,10 @@ def _run_case(preset, predictor, kind, time_scale, syscall_scale, seed, *,
             _force_generic_dispatch(bpu)
         core = SingleThreadCore(config, bpu, workloads,
                                 time_scale=scale.time_scale,
-                                syscall_time_scale=scale.syscall_time_scale,
-                                backend=backend)
+                                syscall_time_scale=scale.syscall_time_scale)
         return core.run(target_branches=scale.st_target_branches,
                         warmup_branches=scale.st_warmup_branches,
-                        mechanism_name=preset, engine=engine)
+                        mechanism_name=preset, engine=engine), bpu
     config = sunny_cove_smt(predictor)
     workloads = make_pair_workloads(SMT2_PAIRS[seed % len(SMT2_PAIRS)],
                                     seed=scale.seed)
@@ -180,10 +179,10 @@ def _run_case(preset, predictor, kind, time_scale, syscall_scale, seed, *,
     if force_generic:
         _force_generic_dispatch(bpu)
     core = SmtCore(config, bpu, workloads, time_scale=scale.smt_time_scale,
-                   se_mode=bool(seed % 2), backend=backend)
+                   se_mode=bool(seed % 2))
     return core.run(instructions=scale.smt_instructions,
                     warmup_instructions=scale.smt_warmup_instructions,
-                    mechanism_name=preset, engine=engine)
+                    mechanism_name=preset, engine=engine), bpu
 
 
 class TestEngineDifferential:
@@ -201,39 +200,29 @@ class TestEngineDifferential:
         assert generic == scalar
 
 
-@pytest.mark.skipif(not _HAS_NUMPY, reason="numpy backend unavailable")
-class TestBackendDifferential:
-    """python vs numpy execution backend over the same sampled configs.
+def _raw_state(bpu):
+    """Raw (still encoded) storage of every predictor structure."""
+    return ([list(table.rows()) for table in bpu.direction.tables()],
+            bpu.btb.raw_sets())
 
-    The numpy backend swaps the kernel-resolution strategy underneath the
-    batched engine; every sampled case must produce the identical result
-    snapshot, both on the vectorized fast paths and with the storage forced
-    onto the generic dispatch (where the backend must fall through to the
-    untouched reference kernels).
+
+class TestEngineStorageDifferential:
+    """scalar vs batched engine: raw storage bits at the end of the run.
+
+    The result snapshot compares statistics only; a kernel that writes a
+    wrong (still encoded) entry which no later branch happens to read
+    would pass it.  Each sampled case therefore also compares the raw
+    storage of every direction table and the BTB after both engines ran.
     """
 
     @pytest.mark.parametrize(
         "case", ENGINE_CASES,
         ids=[f"{c[0]}-{c[1]}-{c[2]}-s{c[5]}" for c in ENGINE_CASES])
-    def test_numpy_backend_parity(self, case):
-        python = _result_snapshot(
-            _run_case(*case, engine="batched", backend="python"))
-        vectorized = _result_snapshot(
-            _run_case(*case, engine="batched", backend="numpy"))
-        fallthrough = _result_snapshot(
-            _run_case(*case, engine="batched", backend="numpy",
-                      force_generic=True))
-        assert vectorized == python
-        # Forced-generic dispatch equals the fast paths equals the python
-        # backend (the generic-vs-scalar leg is pinned above), so a single
-        # three-way equality closes the square.
-        assert fallthrough == python
-
-
-def _raw_state(bpu):
-    """Raw (still encoded) storage of every predictor structure."""
-    return ([list(table.rows()) for table in bpu.direction.tables()],
-            bpu.btb.raw_sets())
+    def test_batched_raw_storage_matches_scalar(self, case):
+        scalar, scalar_bpu = _run_case_with_bpu(*case, engine="scalar")
+        batched, batched_bpu = _run_case_with_bpu(*case, engine="batched")
+        assert _result_snapshot(batched) == _result_snapshot(scalar)
+        assert _raw_state(batched_bpu) == _raw_state(scalar_bpu)
 
 
 def _stats_state(bpu, threads):

@@ -132,6 +132,24 @@ class TestSmtParity:
         with pytest.raises(ValueError):
             _smt("baseline", "vectorised")
 
+    def test_key_registers_drawn_in_thread_order(self):
+        # xor_btb keys only the BTB, whose first write may come from the
+        # second thread.  Key registers drawn on first touch would then be
+        # assigned in another order than the batched engine's up-front
+        # kernel fetch: identical statistics, entries under swapped keys.
+        def run(engine):
+            config = sunny_cove_smt("gshare")
+            workloads = make_pair_workloads(SMT2_PAIRS[0], seed=12)
+            bpu = build_bpu(config, "xor_btb", seed=13)
+            core = SmtCore(config, bpu, workloads, time_scale=200.0)
+            core.run(instructions=15_000, warmup_instructions=4_000,
+                     mechanism_name="xor_btb", engine=engine)
+            keys = bpu.isolation.key_manager
+            return ([keys.master_key(t) for t in range(2)],
+                    bpu.btb.raw_sets())
+
+        assert run("batched") == run("scalar")
+
 
 class TestBpuFastPathParity:
     def test_execute_branch_fast_matches_execute_branch(self):

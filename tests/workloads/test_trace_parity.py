@@ -2,15 +2,14 @@
 
 A recorded trace line may carry ``syscall_after=1``: replay must inject the
 kernel round-trip (privilege-switch pair + kernel cycles) *at that record*,
-identically in the scalar reference loop, the batched fast engine, and the
-numpy execution backend, on both core models.  These tests pin that contract
-end-to-end and at the raw-storage level: a marker forces a rekey boundary in
-the keyed isolation presets, so drifting by even one record would desync the
-encoded predictor state.
+identically in the scalar reference loop and the batched fast engine (on
+its kernels and forced onto the generic dispatch), on both core models.
+These tests pin that contract end-to-end and at the raw-storage level: a
+marker forces a rekey boundary in the keyed isolation presets, so drifting
+by even one record would desync the encoded predictor state.
 """
 
 import dataclasses
-import importlib.util
 
 import pytest
 
@@ -21,8 +20,6 @@ from repro.cpu.smt import SmtCore
 from repro.experiments.runner import build_bpu
 from repro.types import Privilege
 from repro.workloads import TraceWorkload, make_workload, write_trace
-
-_HAS_NUMPY = importlib.util.find_spec("numpy") is not None
 
 #: Marker period chosen co-prime-ish with the batched engines' chunk size so
 #: markers land in chunk interiors, at chunk edges, and mid-warm-up.
@@ -64,14 +61,18 @@ def _raw_state(bpu):
 
 
 class TestSingleThreadMarkerParity:
-    def _run(self, trace, preset, *, engine, backend=None):
+    def _run(self, trace, preset, *, engine):
+        return self._run_with_bpu(trace, preset, engine=engine)[0]
+
+    def _run_with_bpu(self, trace, preset, *, engine, force_generic=False):
         config = fpga_prototype("gshare")
         bpu = make_bpu("gshare", preset, seed=11, btb_sets=config.btb_sets,
                        btb_ways=config.btb_ways)
-        core = SingleThreadCore(config, bpu, [trace], time_scale=200.0,
-                                backend=backend)
+        if force_generic:
+            bpu.force_generic_dispatch()
+        core = SingleThreadCore(config, bpu, [trace], time_scale=200.0)
         return core.run(target_branches=900, warmup_branches=200,
-                        mechanism_name=preset, engine=engine)
+                        mechanism_name=preset, engine=engine), bpu
 
     @pytest.mark.parametrize("preset", PRESETS)
     def test_scalar_batched_bit_identical_with_markers(self, tmp_path,
@@ -85,15 +86,16 @@ class TestSingleThreadMarkerParity:
         assert scalar.privilege_switches >= 2 * (900 // MARK_EVERY)
         assert _result_snapshot(batched) == _result_snapshot(scalar)
 
-    @pytest.mark.skipif(not _HAS_NUMPY, reason="numpy backend unavailable")
     @pytest.mark.parametrize("preset", PRESETS)
-    def test_numpy_backend_bit_identical_with_markers(self, tmp_path, preset):
+    def test_forced_generic_dispatch_bit_identical_with_markers(
+            self, tmp_path, preset):
         trace = _marker_trace(tmp_path, "marked.trace.gz")
-        python = self._run(trace, preset, engine="batched", backend="python")
-        vectorized = self._run(trace, preset, engine="batched",
-                               backend="numpy")
-        assert python.thread(trace.name).syscalls > 0
-        assert _result_snapshot(vectorized) == _result_snapshot(python)
+        fast, fast_bpu = self._run_with_bpu(trace, preset, engine="batched")
+        generic, generic_bpu = self._run_with_bpu(
+            trace, preset, engine="batched", force_generic=True)
+        assert fast.thread(trace.name).syscalls > 0
+        assert _result_snapshot(generic) == _result_snapshot(fast)
+        assert _raw_state(generic_bpu) == _raw_state(fast_bpu)
 
     def test_marker_free_trace_stays_marker_free(self, tmp_path):
         # A trace without markers (and the 0.0 syscall rate every trace
@@ -108,13 +110,20 @@ class TestSingleThreadMarkerParity:
 
 
 class TestSmtMarkerParity:
-    def _run(self, traces, preset, *, engine, se_mode, backend=None):
+    def _run(self, traces, preset, *, engine, se_mode):
+        return self._run_with_bpu(traces, preset, engine=engine,
+                                  se_mode=se_mode)[0]
+
+    def _run_with_bpu(self, traces, preset, *, engine, se_mode,
+                      force_generic=False):
         config = sunny_cove_smt("gshare")
         bpu = build_bpu(config, preset, seed=7)
+        if force_generic:
+            bpu.force_generic_dispatch()
         core = SmtCore(config, bpu, traces, time_scale=400.0,
-                       se_mode=se_mode, backend=backend)
+                       se_mode=se_mode)
         return core.run(instructions=12_000, warmup_instructions=3_000,
-                        mechanism_name=preset, engine=engine)
+                        mechanism_name=preset, engine=engine), bpu
 
     @pytest.mark.parametrize("preset", PRESETS)
     @pytest.mark.parametrize("se_mode", [True, False])
@@ -132,15 +141,17 @@ class TestSmtMarkerParity:
         assert sum(t.syscalls for t in scalar.threads.values()) > 0
         assert _result_snapshot(batched) == _result_snapshot(scalar)
 
-    @pytest.mark.skipif(not _HAS_NUMPY, reason="numpy backend unavailable")
-    def test_numpy_backend_bit_identical_with_markers(self, tmp_path):
+    def test_forced_generic_dispatch_bit_identical_with_markers(self,
+                                                                tmp_path):
         traces = [_marker_trace(tmp_path, f"t{i}.trace.gz", seed=3 + i)
                   for i in range(2)]
-        python = self._run(traces, "noisy_xor_bp", engine="batched",
-                           se_mode=False, backend="python")
-        vectorized = self._run(traces, "noisy_xor_bp", engine="batched",
-                               se_mode=False, backend="numpy")
-        assert _result_snapshot(vectorized) == _result_snapshot(python)
+        fast, fast_bpu = self._run_with_bpu(
+            traces, "noisy_xor_bp", engine="batched", se_mode=False)
+        generic, generic_bpu = self._run_with_bpu(
+            traces, "noisy_xor_bp", engine="batched", se_mode=False,
+            force_generic=True)
+        assert _result_snapshot(generic) == _result_snapshot(fast)
+        assert _raw_state(generic_bpu) == _raw_state(fast_bpu)
 
 
 class TestMarkerBoundaryStorage:

@@ -5,6 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cpu.core import TRACE_BATCH
 from repro.types import BranchType
 from repro.workloads.generator import SyntheticWorkload, make_workload
 from repro.workloads.pairs import (
@@ -191,3 +192,28 @@ class TestGenerator:
             assert isinstance(record.taken, bool)
             assert record.gap >= 0
             assert isinstance(record.branch_type, BranchType)
+
+
+class TestRecordBatchSizes:
+    """The flat record stream does not depend on the batch size.
+
+    The cores read every workload in ``TRACE_BATCH`` chunks; tests, trace
+    recording and the fallback wrapper use other sizes.  Batching only
+    cuts the stream, so every profile must yield the same records (and
+    draw the same generator values) whatever the requested size.
+    """
+
+    @staticmethod
+    def _flat(name, size, count=3_000):
+        workload = make_workload(name, seed=7)
+        flat = []
+        for batch in workload.record_batches(size, seed_offset=1):
+            assert len(batch) >= size
+            flat.extend(batch)
+            if len(flat) >= count:
+                return flat[:count]
+
+    @pytest.mark.parametrize("name", profile_names())
+    @pytest.mark.parametrize("size", [1, 4 * TRACE_BATCH])
+    def test_stream_independent_of_batch_size(self, size, name):
+        assert self._flat(name, size) == self._flat(name, TRACE_BATCH)
