@@ -25,8 +25,8 @@ def _isolate_repro_env():
     """Scrub the REPRO_* knobs before every test.
 
     The suite must behave identically on a developer machine with
-    ``REPRO_STORE_DIR``/``REPRO_CACHE_DIR`` exported (the documented
-    workflow) and in clean CI — without this, cache/store-sensitive tests
+    ``REPRO_STORE_DIR`` exported (the documented workflow) and in clean
+    CI — without this, cache/store-sensitive tests
     would read stale results from, and publish tiny test simulations into,
     the user's real store.  Tests that exercise the env knobs set them
     explicitly via ``monkeypatch.setenv`` on top of this scrub.
@@ -37,8 +37,7 @@ def _isolate_repro_env():
     """
     patcher = pytest.MonkeyPatch()
     for name in ("REPRO_SCALE", "REPRO_JOBS", "REPRO_SHARD",
-                 "REPRO_CACHE_DIR", "REPRO_STORE_DIR",
-                 "REPRO_CASE_TIMEOUT", "REPRO_RETRIES",
+                 "REPRO_STORE_DIR", "REPRO_CASE_TIMEOUT", "REPRO_RETRIES",
                  "REPRO_RETRY_BACKOFF", "REPRO_FAULT_SPEC",
                  "REPRO_TRACE_DIR",
                  "REPRO_SERVE_HOST", "REPRO_SERVE_PORT",

@@ -281,7 +281,7 @@ def execute_shard(manifest: ExperimentManifest, shard: Optional[ShardSpec],
         shard: this worker's slice; ``None`` executes everything.
         out_dir: directory receiving ``shard-i-of-n.json`` (and the journal).
         jobs: process-pool width (``REPRO_JOBS`` when omitted).
-        cache: result cache (a fresh ``REPRO_CACHE_DIR``-honouring cache when
+        cache: result cache (a fresh ``REPRO_STORE_DIR``-honouring cache when
             omitted, so CI can persist results across runs).
         keep_going: complete healthy cases when some fail permanently, and
             write a ``failures-i-of-n.json`` manifest instead of raising
@@ -516,12 +516,11 @@ def merge_artifacts(paths: Iterable[str], manifest: ExperimentManifest,
         raise ValueError("no shard artifacts to merge")
     _validate_artifacts(manifest, artifacts)
 
-    # directory=False / store=False: the replay must be a pure function of
-    # the artifacts — a configured REPRO_CACHE_DIR or REPRO_STORE_DIR could
-    # otherwise serve cases no shard executed (voiding the exactly-once
-    # proof), and the artifact loading would silently write through into the
-    # user's cache/store.
-    cache = RunResultCache(directory=False, store=False)
+    # store=False: the replay must be a pure function of the artifacts — a
+    # configured REPRO_STORE_DIR could otherwise serve cases no shard
+    # executed (voiding the exactly-once proof), and the artifact loading
+    # would silently write through into the user's store.
+    cache = RunResultCache(store=False)
     for _path, payload in artifacts:
         for key, data in payload["cases"].items():
             cache.put(key, run_result_from_dict(data))

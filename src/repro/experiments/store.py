@@ -28,10 +28,10 @@ results a durable, cross-machine home:
   :meth:`ResultStore.ingest` path used for local artifacts.
 
 :class:`~repro.experiments.executor.RunResultCache` consults a store (from
-``REPRO_STORE_DIR`` or an explicit instance) as its third level — memory →
-``REPRO_CACHE_DIR`` → store — and writes every finished simulation through
-to it, so any machine or CI shard can publish results for every other to
-reuse without re-simulating.
+``REPRO_STORE_DIR`` or an explicit instance) behind its in-memory level —
+memory → store — and writes every finished simulation through to it, so
+any machine or CI shard can publish results for every other to reuse
+without re-simulating.
 """
 
 from __future__ import annotations
@@ -299,14 +299,14 @@ class ResultStore:
         """Store one finished result under the current engine version.
 
         A valid identical entry already present under the key is left
-        untouched (warm-cache runs re-publish every disk hit; skipping the
-        rewrite turns those into one read each), an absent entry is written,
-        a corrupt or mis-filed one is quarantined and replaced (publication
-        heals bit-rot while preserving the damaged bytes) — and a valid
-        entry with a *different* digest raises: the key is
-        content-addressed, so two results under one key is the determinism
-        violation :meth:`ingest` also refuses, caught here at publication
-        time instead of on some other machine later.
+        untouched (a resumed shard re-publishes its journaled results;
+        skipping the rewrite turns those into one read each), an absent
+        entry is written, a corrupt or mis-filed one is quarantined and
+        replaced (publication heals bit-rot while preserving the damaged
+        bytes) — and a valid entry with a *different* digest raises: the key
+        is content-addressed, so two results under one key is the
+        determinism violation :meth:`ingest` also refuses, caught here at
+        publication time instead of on some other machine later.
         """
         data = run_result_to_dict(result)
         digest = result_digest(data)

@@ -3,7 +3,7 @@
 Each worker thread drains the :class:`~repro.service.jobs.JobQueue` and runs
 one job at a time through the *existing* execution stack — a
 :class:`~repro.experiments.executor.SweepExecutor` over a
-:class:`~repro.experiments.executor.RunResultCache` whose third level is the
+:class:`~repro.experiments.executor.RunResultCache` whose second level is the
 service's shared :class:`~repro.experiments.store.ResultStore` — so every
 reliability property of the PR 6 layer (per-case timeout, retries, broken
 pool recovery, fault injection) and every dedupe property of the PR 5 store
@@ -133,7 +133,7 @@ class JobScheduler:
             inject_stage_fault(f"service:job:{job.id}")
         # Fresh memory cache per job, shared store underneath: dedupe across
         # jobs (and machines) is the store's, measured by store_hits.
-        cache = RunResultCache(directory=False, store=self.store)
+        cache = RunResultCache(store=self.store)
 
         def on_result(key, result) -> None:
             job.add_event("case", key=key)

@@ -20,11 +20,13 @@ GET    ``/v1/health``                  liveness + engine revision + job counts
 
 Every error body is ``{"error": "<named message>"}`` — validation failures
 carry the same field-attributed messages the CLI parsers print, with status
-400; a job body declared larger than :data:`MAX_JOB_BODY` 413; unknown
-paths/jobs 404; handler crashes 500.  The event stream uses HTTP/1.1
-chunked transfer encoding with one JSON object per line and an
-``{"event": "pending"}`` heartbeat while the job makes no progress, so a
-client's socket timeout never trips on a long simulation.
+400; a job body declared larger than :data:`MAX_JOB_BODY` 413; a request
+body that stalls longer than the per-connection socket timeout 408 (and the
+connection is closed); unknown paths/jobs 404; handler crashes 500.  The
+event stream uses HTTP/1.1 chunked transfer encoding with one JSON object
+per line and an ``{"event": "pending"}`` heartbeat every
+:data:`HEARTBEAT_SECONDS` while the job makes no progress, so a client's
+socket timeout never trips on a long simulation.
 """
 
 from __future__ import annotations
@@ -53,6 +55,10 @@ DEFAULT_PORT = 8378
 #: few hundred bytes; a larger declared length is refused with 413 before
 #: any of the body is read.
 MAX_JOB_BODY = 1 << 20
+
+#: Longest silence on an event stream, in seconds: a job that makes no
+#: progress for this long gets an ``{"event": "pending"}`` heartbeat.
+HEARTBEAT_SECONDS = 10.0
 
 #: Served output files are the flat ``write_outputs`` names
 #: (``<experiment>.json``/``.txt``, ``summary.json``); anything else —
@@ -128,6 +134,11 @@ class SimulationService:
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve"
+    #: Per-connection socket timeout in seconds.  Without one, a client that
+    #: declares a body and never sends it pins a handler thread forever.
+    #: The event stream heartbeats every :data:`HEARTBEAT_SECONDS`, well
+    #: inside it.
+    timeout = 30.0
 
     # -- plumbing ---------------------------------------------------------------
     def log_message(self, format: str, *args) -> None:  # noqa: A002
@@ -231,7 +242,12 @@ class _Handler(BaseHTTPRequestHandler):
             return self._send_error(
                 413, f"job request body of {length} bytes exceeds the "
                      f"{MAX_JOB_BODY}-byte limit", close=True)
-        raw = self.rfile.read(length) if length else b""
+        try:
+            raw = self.rfile.read(length) if length else b""
+        except TimeoutError:
+            return self._send_error(
+                408, f"job request body stalled before its declared "
+                     f"{length} bytes arrived", close=True)
         try:
             payload = json.loads(raw.decode("utf-8")) if raw else {}
         except (ValueError, UnicodeDecodeError):
@@ -273,7 +289,7 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         try:
             while True:
-                events = job.wait_events(index, timeout=10.0)
+                events = job.wait_events(index, timeout=HEARTBEAT_SECONDS)
                 if events:
                     index += len(events)
                     for event in events:

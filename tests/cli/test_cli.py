@@ -79,6 +79,22 @@ class TestRunCommand:
         assert main(["run", "table2"]) == 0
         assert "Table 2" in capsys.readouterr().out
 
+    def test_exported_cache_dir_is_ignored(self, tmp_path, capsys,
+                                           monkeypatch):
+        # There is no on-disk cache level: a leftover REPRO_CACHE_DIR gets
+        # nothing written to it and does not change the output.
+        def run_figure1():
+            # A fresh process-wide executor, as in a new CLI process.
+            monkeypatch.setattr(
+                "repro.experiments.executor._DEFAULT_EXECUTOR", None)
+            assert main(["run", "figure1", "--scale", "0.02"]) == 0
+            return capsys.readouterr().out
+
+        reference = run_figure1()
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        assert run_figure1() == reference
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestPlanCommand:
     def test_plan_prints_manifest_table(self, capsys):
@@ -183,6 +199,13 @@ class TestRunAllCommand:
         assert main(["run", "all", "--experiments", "table5",
                      "--resume", "out"]) == 2
         assert "--resume" in capsys.readouterr().err
+
+    def test_resume_without_a_shard_names_only_the_store(self, capsys):
+        assert main(["run", "all", "--experiments", "table5",
+                     "--resume", "out"]) == 2
+        err = capsys.readouterr().err
+        assert "REPRO_STORE_DIR" in err
+        assert "REPRO_CACHE_DIR" not in err
 
     def test_resume_and_out_must_agree(self, capsys):
         assert main(["run", "all", "--experiments", "table5",
@@ -333,7 +356,7 @@ class TestStoreCommand:
                         "baseline", tiny)
         store = ResultStore(str(store_dir))
         executor = SweepExecutor(
-            jobs=1, cache=RunResultCache(directory=False, store=store))
+            jobs=1, cache=RunResultCache(store=store))
         executor.run_spec(spec)
         return store
 
@@ -376,6 +399,27 @@ class TestStoreCommand:
             handle.write("garbage")
         assert main(["store", "verify", "--dir", str(tmp_path / "a")]) == 2
         assert "CORRUPT" in capsys.readouterr().err
+
+    def test_gc_sweeps_only_the_store(self, tmp_path, capsys, monkeypatch):
+        # A dead writer's tmp file in the store is reclaimed; one in a
+        # leftover REPRO_CACHE_DIR is not the store's to touch.
+        import subprocess
+        import sys
+
+        self._populate(tmp_path / "a")
+        proc = subprocess.Popen([sys.executable, "-c", "pass"])
+        proc.wait()
+        in_store = tmp_path / "a" / f"entry.json.tmp.{proc.pid}"
+        in_store.write_text("{}")
+        cache_dir = tmp_path / "cache"
+        cache_dir.mkdir()
+        in_cache = cache_dir / f"entry.json.tmp.{proc.pid}"
+        in_cache.write_text("{}")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(cache_dir))
+        assert main(["store", "gc", "--dir", str(tmp_path / "a")]) == 0
+        assert "1 orphaned tmp file(s)" in capsys.readouterr().out
+        assert not in_store.exists()
+        assert in_cache.exists()
 
     def test_gc_refuses_non_store_directories(self, tmp_path, capsys):
         (tmp_path / "precious").mkdir()

@@ -66,8 +66,8 @@ def _spec(preset="baseline", **overrides):
 
 
 def _cache():
-    # Memory-only: isolated from any REPRO_CACHE_DIR / REPRO_STORE_DIR.
-    return RunResultCache(directory=False, store=False)
+    # Memory-only: isolated from any REPRO_STORE_DIR.
+    return RunResultCache(store=False)
 
 
 def _executor(jobs=1, *, retries=0, keep_going=False, timeout=False,
@@ -440,31 +440,14 @@ class TestTornWritesAndSweep:
         assert removed == [str(dead)]
         assert live.exists() and not_a_tmp.exists() and not dead.exists()
 
-    def test_torn_disk_cache_entry_degrades_to_resimulation(
-            self, tmp_path, monkeypatch, caplog):
-        monkeypatch.setenv("REPRO_FAULT_SPEC",
-                           "torn_write:path~" + str(tmp_path))
-        writer = SweepExecutor(jobs=1, cache=RunResultCache(
-            directory=str(tmp_path), store=False), retries=0, backoff=0)
-        expected = writer.run_spec(_spec())  # disk entry written torn
-
-        monkeypatch.delenv("REPRO_FAULT_SPEC")
-        fresh = RunResultCache(directory=str(tmp_path), store=False)
-        with caplog.at_level("WARNING", "repro.experiments.executor"):
-            assert fresh.get(_spec().cache_key()) is None
-        assert "re-simulating" in caplog.text
-        rerun = SweepExecutor(jobs=1, cache=fresh, retries=0, backoff=0)
-        assert rerun.run_spec(_spec()).cycles == expected.cycles
-        assert rerun.simulated == 1
-
     def test_torn_store_entry_is_quarantined_on_contact(
             self, tmp_path, monkeypatch):
         store_dir = str(tmp_path / "store")
         monkeypatch.setenv("REPRO_FAULT_SPEC",
                            "torn_write:path~" + store_dir)
         store = ResultStore(store_dir)
-        writer = SweepExecutor(jobs=1, cache=RunResultCache(
-            directory=False, store=store), retries=0, backoff=0)
+        writer = SweepExecutor(jobs=1, cache=RunResultCache(store=store),
+                               retries=0, backoff=0)
         writer.run_spec(_spec())  # store entry written torn
 
         monkeypatch.delenv("REPRO_FAULT_SPEC")
@@ -473,8 +456,8 @@ class TestTornWritesAndSweep:
         assert fresh.get(key) is None  # corrupt entry moved aside, not served
         assert len(fresh.quarantined()) == 1
         # Self-heal: a clean put replaces the entry and the store serves it.
-        healed = SweepExecutor(jobs=1, cache=RunResultCache(
-            directory=False, store=fresh), retries=0, backoff=0)
+        healed = SweepExecutor(jobs=1, cache=RunResultCache(store=fresh),
+                               retries=0, backoff=0)
         result = healed.run_spec(_spec())
         restored = ResultStore(store_dir).get(key)
         assert restored is not None and restored.cycles == result.cycles

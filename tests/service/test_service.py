@@ -9,8 +9,11 @@ surfaces as a structured job failure — never a hung job.
 """
 
 import json
+import math
 import os
+import re
 import socket
+import time
 import urllib.error
 import urllib.request
 
@@ -23,7 +26,7 @@ from repro.experiments.pipeline import run_serial
 from repro.experiments.scaling import ExperimentScale
 from repro.experiments.store import ResultStore
 from repro.service import ServiceClient, ServiceError, SimulationService
-from repro.service.server import MAX_JOB_BODY
+from repro.service.server import MAX_JOB_BODY, _Handler
 from repro.workloads.pairs import SINGLE_THREAD_PAIRS
 
 #: Deliberately tiny budgets: these tests exercise the service plumbing.
@@ -104,8 +107,8 @@ class TestLifecycle:
         assert manifest.manifest_hash() == document["manifest_hash"]
         serial = tmp_path / "serial"
         run_serial(manifest, out_dir=str(serial),
-                   executor=SweepExecutor(jobs=1, cache=RunResultCache(
-                       directory=False, store=False)))
+                   executor=SweepExecutor(jobs=1,
+                                          cache=RunResultCache(store=False)))
         names = sorted(os.listdir(serial))
         assert sorted(os.listdir(served)) == names
         for name in names:
@@ -170,8 +173,8 @@ class TestValidation:
         with pytest.raises(ServiceError, match="field 'scale'"):
             client.submit({"scale": "abc"})
 
-    def _raw_post_job(self, service, content_length):
-        """POST headers declaring ``content_length`` with no body bytes.
+    def _raw_post_job(self, service, content_length, body=b""):
+        """POST headers declaring ``content_length``, then ``body`` bytes.
 
         Returns the status code and the JSON body of the response read to
         EOF; a server that waits for the declared body instead of
@@ -183,7 +186,7 @@ class TestValidation:
                 f"Content-Length: {content_length}\r\n\r\n")
         with socket.create_connection((service.host, service.port),
                                       timeout=5.0) as sock:
-            sock.sendall(head.encode("ascii"))
+            sock.sendall(head.encode("ascii") + body)
             chunks = []
             while True:
                 chunk = sock.recv(65536)
@@ -204,6 +207,31 @@ class TestValidation:
         status, body = self._raw_post_job(service, MAX_JOB_BODY + 1)
         assert status == 413
         assert str(MAX_JOB_BODY) in body["error"]
+
+    def test_handler_has_a_finite_socket_timeout(self):
+        assert 0 < _Handler.timeout < math.inf
+
+    def test_stalled_body_is_http_408_and_closed(self, service, monkeypatch):
+        # Ten of a declared hundred bytes, then silence: the handler must
+        # give up, answer and close instead of pinning its thread.
+        monkeypatch.setattr(_Handler, "timeout", 0.5)
+        status, body = self._raw_post_job(service, 100, b'{"experime')
+        assert status == 408
+        assert "stalled" in body["error"]
+
+    @pytest.mark.parametrize("partial", [
+        b"POST /v1/jo",
+        b"POST /v1/jobs HTTP/1.1\r\nHost: x\r\nContent-Le",
+    ], ids=["request-line", "headers"])
+    def test_stalled_request_head_is_closed(self, service, monkeypatch,
+                                            partial):
+        # Before any body is expected there is nothing to answer: the
+        # handler just drops the connection once the timeout passes.
+        monkeypatch.setattr(_Handler, "timeout", 0.5)
+        with socket.create_connection((service.host, service.port),
+                                      timeout=5.0) as sock:
+            sock.sendall(partial)
+            assert sock.recv(65536) == b""
 
     def test_invalid_json_body_is_http_400(self, service):
         request = urllib.request.Request(
@@ -373,6 +401,62 @@ class TestServerEdges:
         with pytest.raises(ServiceError, match="'from' must be an integer"):
             with client._open(f"/v1/jobs/{document['id']}/events?from=x"):
                 pass
+
+    def test_slow_body_inside_the_timeout_is_accepted(self, idle_service,
+                                                      monkeypatch):
+        # The timeout bounds each silence, not the whole upload.
+        monkeypatch.setattr(_Handler, "timeout", 0.5)
+        body = json.dumps({"experiments": ["table5"]}).encode("utf-8")
+        head = (f"POST /v1/jobs HTTP/1.1\r\n"
+                f"Host: {idle_service.host}\r\n"
+                f"Content-Type: application/json\r\n"
+                f"Content-Length: {len(body)}\r\n\r\n").encode("ascii")
+        with socket.create_connection((idle_service.host, idle_service.port),
+                                      timeout=5.0) as sock:
+            sock.sendall(head + body[:8])
+            for start in range(8, len(body), 8):
+                time.sleep(0.2)
+                sock.sendall(body[start:start + 8])
+            response = sock.recv(65536)
+        assert response.startswith(b"HTTP/1.1 202 ")
+
+    def test_idle_keep_alive_connection_is_closed(self, idle_service,
+                                                  monkeypatch):
+        monkeypatch.setattr(_Handler, "timeout", 0.5)
+        request = (f"GET /v1/health HTTP/1.1\r\n"
+                   f"Host: {idle_service.host}\r\n\r\n").encode("ascii")
+        with socket.create_connection((idle_service.host, idle_service.port),
+                                      timeout=5.0) as sock:
+            sock.sendall(request)
+            response = b""
+            while b"\r\n\r\n" not in response:
+                response += sock.recv(65536)
+            head, rest = response.split(b"\r\n\r\n", 1)
+            assert head.startswith(b"HTTP/1.1 200 ")
+            assert b"Connection: close" not in head  # kept alive...
+            length = int(re.search(rb"Content-Length: (\d+)", head).group(1))
+            while len(rest) < length:
+                rest += sock.recv(65536)
+            assert json.loads(rest)["status"] == "ok"
+            assert sock.recv(65536) == b""  # ...until the timeout passes
+
+    def test_event_stream_outlives_the_socket_timeout(self, idle_service,
+                                                      monkeypatch):
+        # A quiet job's watcher keeps receiving heartbeats long after the
+        # per-connection timeout: the timeout never cuts a live stream.
+        monkeypatch.setattr(_Handler, "timeout", 0.5)
+        monkeypatch.setattr("repro.service.server.HEARTBEAT_SECONDS", 0.1)
+        client = ServiceClient(idle_service.url, timeout=5.0)
+        document = client.submit({"experiments": ["table5"]})
+        started = time.monotonic()
+        heartbeats = 0
+        with client._open(f"/v1/jobs/{document['id']}/events") as response:
+            for line in response:
+                if json.loads(line).get("event") == "pending":
+                    heartbeats += 1
+                if time.monotonic() - started > 1.5:
+                    break
+        assert heartbeats >= 5
 
     def test_malformed_content_length_is_http_400(self, idle_service):
         import http.client
