@@ -19,7 +19,8 @@ case1, gcc+calculix, FPGA-prototype core):
 Every swept configuration is asserted to actually run on its intended fast
 path (monomorphic passthrough or fused-XOR); a silent fallback to the
 generic dispatch fails the benchmark rather than quietly reporting wrong
-numbers.
+numbers.  Owner-tracking presets (``precise_flush``) have no fast path:
+the smoke mode asserts they run the generated generic arm.
 
 Writes ``BENCH_engine.json`` at the repository root.  Run with::
 
@@ -92,57 +93,70 @@ def _disable_fast_paths(core: SingleThreadCore) -> None:
     core.bpu.force_generic_dispatch()
 
 
+def _expected_arm(mechanism: str, isolation) -> str:
+    """Kernel arm a structure protected by ``mechanism`` must run."""
+    if isolation.tracks_owner:
+        # Owner tracking (Precise Flush) cannot be fused into the packed
+        # arrays; its kernels are the generated generic arm.
+        return "generic"
+    return "fused-xor" if mechanism in ("xor", "noisy_xor") else "passthrough"
+
+
 def assert_fast_path(core: SingleThreadCore, preset: str) -> None:
-    """Fail loudly unless the intended monomorphic fast paths are active.
+    """Fail loudly unless the intended kernel arms are active.
 
     Expectations are derived per structure from the preset's protection
     config: an XOR-mechanism structure must ride the fused-XOR fast path,
-    anything else the passthrough one.  On top of the storage flags, the
-    packed-BTB probe kernel and the direction predictor's execute kernel
-    (gshare, TAGE, tournament, LTAGE or TAGE-SC-L) must report
-    the matching specialisation arm.  Guards the benchmark and the CI smoke
+    an owner-tracking one the generic arm, anything else the passthrough
+    fast path.  On top of the storage flags, both packed-BTB probe kernels
+    (conditional and unconditional) and the direction predictor's execute
+    kernel (gshare, TAGE, tournament, LTAGE or TAGE-SC-L) must report the
+    matching specialisation arm.  Guards the benchmark and the CI smoke
     step against silent fallbacks to the generic dispatch.
     """
     bpu = core.bpu
     config = resolve_preset(preset)
-    want_pht_xor = config.pht_mechanism in ("xor", "noisy_xor")
-    want_btb_xor = config.btb_mechanism in ("xor", "noisy_xor")
-    for table in bpu.direction.tables():
-        active = table._xor_fast if want_pht_xor else table._fast
-        if not active:
+    tables = bpu.direction.tables()
+    want_pht = _expected_arm(config.pht_mechanism, tables[0].isolation)
+    want_btb = _expected_arm(config.btb_mechanism, bpu.btb.isolation)
+    if want_pht != "generic":
+        for table in tables:
+            active = (table._xor_fast if want_pht == "fused-xor"
+                      else table._fast)
+            if not active:
+                raise AssertionError(
+                    f"{preset}: table {table.name!r} is not on the "
+                    f"{want_pht} fast path")
+    if want_btb != "generic":
+        btb_active = (bpu.btb._xor_fast if want_btb == "fused-xor"
+                      else bpu.btb._fast)
+        if not btb_active:
+            raise AssertionError(f"{preset}: BTB is not on the fast path")
+    for kind, kernel in (("conditional", bpu.btb.exec_conditional_kernel(0)),
+                         ("unconditional", bpu.btb.exec_indirect_kernel(0))):
+        if kernel.arm != want_btb:
             raise AssertionError(
-                f"{preset}: table {table.name!r} is not on the "
-                f"{'fused-XOR' if want_pht_xor else 'passthrough'} fast path")
-    btb_active = bpu.btb._xor_fast if want_btb_xor else bpu.btb._fast
-    if not btb_active:
-        raise AssertionError(f"{preset}: BTB is not on the fast path")
-    btb_arm = bpu.btb.exec_conditional_kernel(0).arm
-    want_arm = "fused-xor" if want_btb_xor else "passthrough"
-    if btb_arm != want_arm:
-        raise AssertionError(
-            f"{preset}: packed-BTB probe kernel runs the {btb_arm!r} arm, "
-            f"expected {want_arm!r}")
+                f"{preset}: {kind} BTB probe kernel runs the "
+                f"{kernel.arm!r} arm, expected {want_btb!r}")
     exec_kernel = getattr(bpu.direction, "exec_kernel", None)
     if exec_kernel is None:
         raise AssertionError(
             f"{preset}: {bpu.direction.name} has no execute kernel and "
             "falls back to DirectionPredictor.execute")
     dir_arm = getattr(exec_kernel(0), "arm", None)
-    want_arm = "fused-xor" if want_pht_xor else "passthrough"
-    if dir_arm != want_arm:
+    if dir_arm != want_pht:
         raise AssertionError(
             f"{preset}: {bpu.direction.name} kernel runs the "
-            f"{dir_arm!r} arm, expected {want_arm!r}")
+            f"{dir_arm!r} arm, expected {want_pht!r}")
     build_masks = getattr(bpu.direction, "_build_kernel_masks", None)
     if build_masks is not None:
         bundle = build_masks(0)
-        if bundle is False:
+        arm = ("generic" if bundle is False
+               else "fused-xor" if bundle[0] else "passthrough")
+        if arm != want_pht:
             raise AssertionError(
-                f"{preset}: TAGE kernel fell back to generic dispatch")
-        if bool(bundle[0]) != want_pht_xor:
-            raise AssertionError(
-                f"{preset}: TAGE kernel compiled the wrong arm "
-                f"(encoded={bool(bundle[0])}, expected {want_pht_xor})")
+                f"{preset}: TAGE kernel masks select the {arm!r} arm, "
+                f"expected {want_pht!r}")
 
 
 def _measure(engine: str, *, preset: str = "baseline", predictor: str = "tage",
@@ -173,7 +187,7 @@ def _measure(engine: str, *, preset: str = "baseline", predictor: str = "tage",
 
 
 def run_smoke(preset: str, repeats: int) -> None:
-    """Reduced-scale CI smoke: measure one preset, verify its fast paths.
+    """Reduced-scale CI smoke: measure one preset, verify its kernel arms.
 
     TAGE is measured over ``repeats`` runs; the tournament, LTAGE and
     TAGE-SC-L kernels are checked over one run each.
@@ -183,13 +197,13 @@ def run_smoke(preset: str, repeats: int) -> None:
                      check_fast_path=True)
     print(f"smoke {preset}: "
           f"{entry['branches_per_second']:,.0f} branches/s "
-          f"({entry['branches_simulated']} branches), fast path verified")
+          f"({entry['branches_simulated']} branches), kernel arms verified")
     for predictor in SMOKE_KERNEL_PREDICTORS:
         entry = _measure("batched", preset=preset, predictor=predictor,
                          repeats=1, scale=scale, check_fast_path=True)
         print(f"smoke {preset} {predictor}: "
               f"{entry['branches_per_second']:,.0f} branches/s, "
-              "fast path verified")
+              "kernel arms verified")
 
 
 def main(argv=None) -> dict:

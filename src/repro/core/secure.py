@@ -146,7 +146,7 @@ class BranchPredictionUnit:
         same statistics) but returns a plain tuple
         ``(direction_mispredicted, target_mispredicted, btb_accessed,
         btb_hit)`` instead of building a :class:`BranchOutcome`, and drives
-        the predictors through their fused ``execute``/``lookup_fast``
+        the predictors through their fused ``execute`` and BTB probe-kernel
         entry points.
         """
         if branch_type is BranchType.CONDITIONAL:
@@ -165,7 +165,7 @@ class BranchPredictionUnit:
         if branch_type is BranchType.RETURN:
             return False, self.ras.pop(thread_id) != target, False, False
         # Fused probe + unconditional install on the packed BTB arrays
-        # (identical to the lookup_fast / update pair it replaces).
+        # (identical to the lookup / update pair it replaces).
         hit, btb_target = self.btb.execute_indirect_fast(pc, target,
                                                          branch_type, thread_id)
         target_mispredicted = not hit or btb_target != target

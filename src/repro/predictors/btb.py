@@ -28,11 +28,14 @@ XOR-family presets are applied inline on the packed fields and re-randomised
 only at switch time via the mask-cache registration protocol on
 :class:`repro.core.isolation.XorContentIsolation`.
 
-On top of the arrays, the conditional-branch probe is served by **per-thread
-closure kernels** (:meth:`BranchTargetBuffer.exec_conditional_kernel`): the
-geometry constants, the field arrays and the thread's decode masks are bound
-once per (thread, rekey) into a closure, so a branch pays no mask-cache
-lookup and no isolation-arm branching.  Kernels follow the same protocol as
+On top of the arrays, the conditional and the unconditional probes are
+served by **per-thread generated kernels**
+(:meth:`BranchTargetBuffer.exec_conditional_kernel`,
+:meth:`BranchTargetBuffer.exec_indirect_kernel`), both emitted by one source
+generator: the way walk is unrolled with the geometry constants inlined, and
+the field arrays and the thread's decode masks are bound once per (thread,
+rekey) in the kernel's globals, so a branch pays no mask-cache lookup and no
+isolation-arm branching.  Kernels follow the same protocol as
 the generated TAGE/gshare kernels — the batched engines fetch them via the
 ``exec_*_kernel`` entry point and re-fetch after every switch notification;
 key re-randomisation drops them through the registered mask cache.
@@ -142,12 +145,13 @@ class BranchTargetBuffer:
         self._xor_masks: dict = {}
         self._tag_row_keys: Optional[List[int]] = None
         self._target_row_keys: Optional[List[int]] = None
-        # Per-thread conditional-probe kernels (generated, way walk
-        # unrolled; code objects shared process-wide, see
-        # :mod:`repro.predictors.kernel_cache`).  Registered as a second mask
-        # cache under XOR policies so key re-randomisation drops the
+        # Per-thread conditional and unconditional probe kernels (generated,
+        # way walk unrolled; code objects shared process-wide, see
+        # :mod:`repro.predictors.kernel_cache`).  Registered as further mask
+        # caches under XOR policies so key re-randomisation drops the
         # kernels; the batched engines re-fetch after switch notifications.
         self._cond_kernels: Dict[int, object] = {}
+        self._indirect_kernels: Dict[int, object] = {}
         self._clock = 0
         self.name = "btb"
         self.lookups = 0
@@ -159,6 +163,10 @@ class BranchTargetBuffer:
             self._isolation.register_fast_mask_cache(self._kernel_token,
                                                      self._cond_kernels,
                                                      self._build_cond_kernel)
+            self._indirect_token = object()
+            self._isolation.register_fast_mask_cache(self._indirect_token,
+                                                     self._indirect_kernels,
+                                                     self._build_indirect_kernel)
         self._isolation.register_flushable(self)
 
     # -- geometry -------------------------------------------------------------
@@ -249,32 +257,55 @@ class BranchTargetBuffer:
         """Partial tag derived from the upper PC bits."""
         return (pc >> self._tag_shift) & self._tag_mask
 
-    # -- conditional-probe closure kernels ------------------------------------
+    # -- probe kernels --------------------------------------------------------
     def exec_conditional_kernel(self, thread_id: int = 0):
         """Return the thread's fused conditional probe ``fn(pc, target, taken)``.
 
-        The kernel is a closure over the packed field arrays, the geometry
-        constants and — under a plain-XOR policy — the thread's precomputed
-        decode masks; it performs :meth:`execute_conditional_fast` for one
-        hardware thread with no per-call mask lookups or isolation-arm
-        branching.  Kernels are dropped whenever the bound masks change (key
-        re-randomisation, via the isolation mask-cache protocol) or
-        :meth:`invalidate_kernels` is called; the batched engines re-fetch
-        after every switch notification.  The callable accepts (and ignores)
-        a trailing ``thread_id`` argument so engines can drive the kernel and
-        the bound method through one call shape.
+        The kernel is a generated function over the packed field arrays, the
+        geometry constants and — under a plain-XOR policy — the thread's
+        precomputed decode masks; it performs :meth:`lookup` followed by
+        :meth:`update` for taken branches, for one hardware thread with no
+        per-call mask lookups or isolation-arm branching.  Kernels are
+        dropped whenever the bound masks change (key re-randomisation, via
+        the isolation mask-cache protocol) or :meth:`invalidate_kernels` is
+        called; the batched engines re-fetch after every switch
+        notification.  The callable accepts (and ignores) a trailing
+        ``thread_id`` argument so engines can drive the kernel and the bound
+        method through one call shape.
         """
         fn = self._cond_kernels.get(thread_id)
         if fn is None:
             fn = self._build_cond_kernel(thread_id)
         return fn
 
+    def exec_indirect_kernel(self, thread_id: int = 0):
+        """Return the thread's unconditional probe ``fn(pc, target, branch_type)``.
+
+        The unconditional counterpart of :meth:`exec_conditional_kernel`:
+        :meth:`lookup` followed by an :meth:`update` that always installs
+        (unconditional branches always train the BTB) and records
+        ``branch_type``.  Invalidated by the same events.
+        """
+        fn = self._indirect_kernels.get(thread_id)
+        if fn is None:
+            fn = self._build_indirect_kernel(thread_id)
+        return fn
+
     def invalidate_kernels(self) -> None:
         """Drop every cached probe kernel (tests / manual flag flips)."""
         self._cond_kernels.clear()
+        self._indirect_kernels.clear()
 
     def _build_cond_kernel(self, thread_id: int):
-        """Build, cache and return one thread's conditional probe kernel.
+        """Build, cache and return one thread's conditional probe kernel."""
+        return self._build_kernel(thread_id, conditional=True)
+
+    def _build_indirect_kernel(self, thread_id: int):
+        """Build, cache and return one thread's unconditional probe kernel."""
+        return self._build_kernel(thread_id, conditional=False)
+
+    def _build_kernel(self, thread_id: int, conditional: bool):
+        """Build, cache and return one thread's probe kernel.
 
         The passthrough and fused-XOR arms are *generated*: the way walk is
         unrolled with the geometry constants inlined as literals, while the
@@ -307,38 +338,50 @@ class BranchTargetBuffer:
                     namespace["TRK"] = self._tag_row_keys
                     namespace["GRK"] = self._target_row_keys
             kernel = build_kernel(
-                self._cond_kernel_source(encoded, diversified),
-                f"<btb-kernel {(encoded, diversified)}>", namespace)
+                self._kernel_source(encoded, diversified, conditional),
+                f"<btb-kernel {(encoded, diversified, conditional)}>",
+                namespace)
             kernel.arm = "fused-xor" if encoded else "passthrough"
         else:
             # Non-fusable isolation (owner tracking / non-XOR encoders):
             # the exact generic two-call sequence.
             btb = self
             owner = thread_id
-
-            def kernel(pc, target, taken, _thread_id=0):
-                result = btb.lookup(pc, owner)
-                if taken:
-                    btb.update(pc, target, owner, BranchType.CONDITIONAL)
-                return result.hit, result.target
-
+            if conditional:
+                def kernel(pc, target, taken, _thread_id=0):
+                    result = btb.lookup(pc, owner)
+                    if taken:
+                        btb.update(pc, target, owner, BranchType.CONDITIONAL)
+                    return result.hit, result.target
+            else:
+                def kernel(pc, target, branch_type, _thread_id=0):
+                    result = btb.lookup(pc, owner)
+                    btb.update(pc, target, owner, branch_type)
+                    return result.hit, result.target
             kernel.arm = "generic"
-        self._cond_kernels[thread_id] = kernel
+        (self._cond_kernels if conditional
+         else self._indirect_kernels)[thread_id] = kernel
         return kernel
 
-    def _cond_kernel_source(self, encoded: bool, diversified: bool) -> str:
-        """Generate the source of one conditional probe kernel arm.
+    def _kernel_source(self, encoded: bool, diversified: bool,
+                       conditional: bool = True) -> str:
+        """Generate the source of one probe kernel arm.
 
-        Statement order mirrors :meth:`lookup_fast` + :meth:`update` (and
-        the previous closure kernels) exactly — the differential-parity
-        suite holds the generated kernels, the generic dispatch and the
-        scalar protocol bit-identical.
+        Statement order mirrors :meth:`lookup` + :meth:`update` exactly —
+        the differential-parity suite holds the generated kernels, the
+        generic dispatch and the scalar protocol bit-identical.  The
+        ``conditional`` kernel installs only taken branches and records
+        them as conditional; the unconditional one always installs and
+        records its ``branch_type`` argument.
         """
         ways = self._n_ways
         idx = [f"i{w}" for w in range(ways)]
         lines = []
         emit = lines.append
-        emit("def _kernel(pc, target, taken, _thread_id=0):")
+        if conditional:
+            emit("def _kernel(pc, target, taken, _thread_id=0):")
+        else:
+            emit("def _kernel(pc, target, branch_type, _thread_id=0):")
         emit("    btb.lookups += 1")
         emit("    clock = btb._clock + 1")
         if encoded:
@@ -378,85 +421,45 @@ class BranchTargetBuffer:
             emit("        hit = True")
             emit(f"        btb_target = {read.format(i=i)}")
             emit(f"        victim = {i}")
-        emit("    if taken:")
-        emit("        clock += 1")
-        emit("        if victim < 0:")
-        for w, i in enumerate(idx):
-            emit(f"            {'if' if w == 0 else 'elif'} not valid[{i}]:")
-            emit(f"                victim = {i}")
-        if ways > 1:
-            emit("            else:")
-            emit(f"                victim = {idx[0]}")
-            emit(f"                low = last[{idx[0]}]")
-            for i in idx[1:]:
-                emit(f"                if last[{i}] < low:")
-                emit(f"                    low = last[{i}]")
-                emit(f"                    victim = {i}")
+        if conditional:
+            emit("    if taken:")
+            pad = "        "
+            branch_type = str(_CONDITIONAL_INT)
         else:
-            emit("            else:")
-            emit(f"                victim = {idx[0]}")
-        emit("        valid[victim] = True")
-        emit("        tags[victim] = enc_tag")
-        emit(f"        targets[victim] = {write}")
-        emit(f"        types[victim] = {_CONDITIONAL_INT}")
-        emit("        owners[victim] = OWNER")
-        emit("        last[victim] = clock")
+            pad = "    "
+            branch_type = "int(branch_type)"
+        emit(f"{pad}clock += 1")
+        emit(f"{pad}if victim < 0:")
+        for w, i in enumerate(idx):
+            emit(f"{pad}    {'if' if w == 0 else 'elif'} not valid[{i}]:")
+            emit(f"{pad}        victim = {i}")
+        emit(f"{pad}    else:")
+        emit(f"{pad}        victim = {idx[0]}")
+        if ways > 1:
+            emit(f"{pad}        low = last[{idx[0]}]")
+            for i in idx[1:]:
+                emit(f"{pad}        if last[{i}] < low:")
+                emit(f"{pad}            low = last[{i}]")
+                emit(f"{pad}            victim = {i}")
+        emit(f"{pad}valid[victim] = True")
+        emit(f"{pad}tags[victim] = enc_tag")
+        emit(f"{pad}targets[victim] = {write}")
+        emit(f"{pad}types[victim] = {branch_type}")
+        emit(f"{pad}owners[victim] = OWNER")
+        emit(f"{pad}last[victim] = clock")
         emit("    btb._clock = clock")
         emit("    return hit, btb_target")
         return "\n".join(lines) + "\n"
 
     # -- prediction protocol --------------------------------------------------
-    def lookup_fast(self, pc: int, thread_id: int = 0) -> tuple:
-        """Allocation-free lookup used by the batched engine hot path.
-
-        Behaviourally identical to :meth:`lookup` (same counters, same LRU
-        update) but returns a plain ``(hit, target)`` tuple instead of a
-        :class:`BTBResult`, and skips the isolation virtual dispatch entirely
-        when the attached policy is a passthrough (baseline / flush) or a
-        plain-XOR encoder (fused thread-private masks).
-        """
-        if self._fast:
-            set_index = (pc >> 2) & self._index_mask
-            enc_tag = (pc >> self._tag_shift) & self._tag_mask
-            dec_target = 0
-        elif self._xor_fast:
-            # Fused-XOR probe: encode the lookup tag once and compare raw
-            # stored tags (XOR is a bijection, so this equals decoding every
-            # stored tag); decode the target only on a hit.
-            masks = self._xor_masks.get(thread_id)
-            if masks is None:
-                masks = self._build_xor_masks(thread_id)
-            index_key, tag_key, target_key = masks
-            set_index = ((pc >> 2) ^ index_key) & self._index_mask
-            enc_tag = (((pc >> self._tag_shift) & self._tag_mask)
-                       ^ tag_key ^ self._tag_row_keys[set_index])
-            dec_target = target_key ^ self._target_row_keys[set_index]
-        else:
-            result = self.lookup(pc, thread_id)
-            return result.hit, result.target
-        self.lookups += 1
-        clock = self._clock + 1
-        self._clock = clock
-        valid = self._valid
-        tags = self._tags
-        base = set_index * self._n_ways
-        for i in range(base, base + self._n_ways):
-            if valid[i] and tags[i] == enc_tag:
-                self._last[i] = clock
-                self.hits += 1
-                return True, (self._targets[i] ^ dec_target) & self._target_mask
-        return False, None
-
     def execute_conditional_fast(self, pc: int, target: int, taken: bool,
                                  thread_id: int = 0) -> tuple:
         """Fused conditional-branch probe: lookup plus update-if-taken.
 
-        Behaviourally identical to :meth:`lookup_fast` followed by
-        :meth:`update` (for taken branches), but runs the thread's packed
-        closure kernel (see :meth:`exec_conditional_kernel`), which computes
-        the set index and tag once and falls back to the two-call sequence
-        when the isolation policy is neither a passthrough nor a fused-XOR
-        encoder.
+        Behaviourally identical to :meth:`lookup` followed by :meth:`update`
+        (for taken branches), but runs the thread's probe kernel (see
+        :meth:`exec_conditional_kernel`) and returns a plain ``(hit,
+        target)`` tuple.
         """
         fn = self._cond_kernels.get(thread_id)
         if fn is None:
@@ -468,69 +471,15 @@ class BranchTargetBuffer:
                               thread_id: int = 0) -> tuple:
         """Fused unconditional/indirect probe: lookup plus unconditional update.
 
-        Behaviourally identical to :meth:`lookup_fast` followed by
-        :meth:`update` (unconditional branches always train the BTB), but
-        computes the set index and tag once on the packed arrays.  Falls back
-        to the two-call sequence when the isolation policy is neither a
-        passthrough nor a fused-XOR encoder.
+        Behaviourally identical to :meth:`lookup` followed by :meth:`update`
+        (unconditional branches always train the BTB), but runs the
+        thread's probe kernel (see :meth:`exec_indirect_kernel`) and returns
+        a plain ``(hit, target)`` tuple.
         """
-        if self._fast:
-            set_index = (pc >> 2) & self._index_mask
-            dec_tag = dec_target = 0
-        elif self._xor_fast:
-            masks = self._xor_masks.get(thread_id)
-            if masks is None:
-                masks = self._build_xor_masks(thread_id)
-            index_key, tag_key, target_key = masks
-            set_index = ((pc >> 2) ^ index_key) & self._index_mask
-            dec_tag = tag_key ^ self._tag_row_keys[set_index]
-            dec_target = target_key ^ self._target_row_keys[set_index]
-        else:
-            result = self.lookup(pc, thread_id)
-            self.update(pc, target, thread_id, branch_type)
-            return result.hit, result.target
-        enc_tag = ((pc >> self._tag_shift) & self._tag_mask) ^ dec_tag
-        self.lookups += 1
-        clock = self._clock + 1
-        valid = self._valid
-        tags = self._tags
-        targets = self._targets
-        last = self._last
-        base = set_index * self._n_ways
-        end = base + self._n_ways
-        hit = False
-        btb_target = None
-        victim = -1
-        for i in range(base, end):
-            if valid[i] and tags[i] == enc_tag:
-                last[i] = clock
-                self.hits += 1
-                hit = True
-                btb_target = (targets[i] ^ dec_target) & self._target_mask
-                victim = i
-                break
-        # Inlined update(): unconditional branches always install/refresh.
-        clock += 1
-        if victim < 0:
-            for i in range(base, end):
-                if not valid[i]:
-                    victim = i
-                    break
-        if victim < 0:
-            victim = base
-            low = last[base]
-            for i in range(base + 1, end):
-                if last[i] < low:
-                    low = last[i]
-                    victim = i
-        valid[victim] = True
-        tags[victim] = enc_tag
-        targets[victim] = (target & self._target_mask) ^ dec_target
-        self._types[victim] = int(branch_type)
-        self._owners[victim] = thread_id
-        last[victim] = clock
-        self._clock = clock
-        return hit, btb_target
+        fn = self._indirect_kernels.get(thread_id)
+        if fn is None:
+            fn = self._build_indirect_kernel(thread_id)
+        return fn(pc, target, branch_type)
 
     def lookup(self, pc: int, thread_id: int = 0) -> BTBResult:
         """Predict the target of the branch at ``pc`` for a hardware thread."""
@@ -632,7 +581,7 @@ class BranchTargetBuffer:
     def flush(self) -> None:
         """Invalidate every entry (Complete Flush).
 
-        Fields are reset in place so references bound by the closure kernels
+        Fields are reset in place so references bound by the probe kernels
         stay valid.
         """
         total = self._n_sets * self._n_ways

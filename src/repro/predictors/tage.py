@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Dict, List, Optional, Sequence
 
-from .base import DirectionPrediction, DirectionPredictor, PredictorStats
+from .base import DirectionPrediction, DirectionPredictor
 from .bimodal import BimodalPredictor
 from .counters import counter_is_taken, saturating_update
 from .history import GlobalHistory, PathHistory
@@ -250,8 +250,6 @@ class TagePredictor(DirectionPredictor):
         # ``False`` marks a thread whose isolation policy cannot be fused
         # (owner tracking, non-XOR encoders) — those take the generic path.
         self._kernel_masks: Dict[int, object] = {}
-        self._zero_row_keys = [0] * cfg.table_entries
-        self._zero_base_row_keys = [0] * self._base_words.n_entries
         # Per-thread specialised kernels (generated functions, see
         # ``_build_exec_fn``; code objects are shared process-wide, see
         # :mod:`repro.predictors.kernel_cache`): the standalone kernels and
@@ -273,22 +271,6 @@ class TagePredictor(DirectionPredictor):
             attached.register_fast_mask_cache(self._component_token,
                                               self._component_fns,
                                               self._build_component_fn)
-        # Per-call constants of the generic fused-execute path (non-fusable
-        # isolation policies), packed into one tuple so that path pays a
-        # single attribute load instead of ~25.  Every member is immutable
-        # or never rebound after construction.
-        self._exec_bundle = (
-            cfg.n_tables, cfg.useful_bits + cfg.counter_bits,
-            self._ctr_mask, self._u_mask, self._tag_mask, self._ctr_weak_taken,
-            1 << (cfg.counter_bits - 1), 1 << (cfg.use_alt_bits - 1),
-            cfg.useful_bits,
-            self._base_index_mask, self._base_cpw, self._base_threshold,
-            index_bits, (1 << index_bits) - 1, self._path, self._ghr,
-            cfg.useful_reset_period, (1 << tag1_bits) - 1,
-            self._old_mask, self._old_gather, self._new_masks,
-            self._swar_i.guard_mask, self._swar_i.lane_mask,
-            self._swar_t0.guard_mask, self._swar_t0.lane_mask, tag_bits,
-            self._swar_t1.guard_mask, self._swar_t1.lane_mask, tag1_bits)
 
     # -- entry packing --------------------------------------------------------
     def _pack(self, tag: int, ctr: int, useful: int) -> int:
@@ -331,7 +313,7 @@ class TagePredictor(DirectionPredictor):
                 (t, t * entries, t * 0x1F, swar_i[t], t & 3,
                  swar_t0[t], swar_t1[t])
                 for t in range(n))
-            bundle = (False, consts, 0, 0, self._zero_base_row_keys)
+            bundle = (False, consts)
         elif all(t._xor_fast for t in tables) and base_words._xor_fast:
             per_table = []
             for t in range(n):
@@ -579,26 +561,22 @@ class TagePredictor(DirectionPredictor):
         bundle = self._kernel_masks.get(thread_id)
         if bundle is None:
             bundle = self._build_kernel_masks(thread_id)
-        if bundle is False:
-            # Non-fusable isolation (owner tracking / non-XOR encoders).
-            generic = self._execute_generic
-
-            def fn(pc, taken, thread_id=thread_id, _generic=generic,
-                   _component=component):
-                return _generic(pc, taken, thread_id, _component)
-        else:
-            encoded = bundle[0]
-            diversified = encoded and bool(
-                getattr(self._tables[0].isolation, "_row_diversified", False))
-            label = "tage-component-kernel" if component else "tage-kernel"
-            fn = build_kernel(
-                self._kernel_source(encoded, diversified, component),
-                f"<{label} {(encoded, diversified)}>",
-                self._kernel_namespace(thread_id, bundle, component))
+        # Non-fusable isolation (owner tracking / non-XOR encoders) takes
+        # the generic arm: every storage access through the table API.
+        generic = bundle is False
+        encoded = not generic and bundle[0]
+        diversified = encoded and bool(
+            getattr(self._tables[0].isolation, "_row_diversified", False))
         # Which specialisation this kernel runs (benchmarks and tests assert
         # the intended arm is active instead of a silent generic fallback).
-        fn.arm = ("generic" if bundle is False
-                  else "fused-xor" if bundle[0] else "passthrough")
+        arm = ("generic" if generic
+               else "fused-xor" if encoded else "passthrough")
+        label = "tage-component-kernel" if component else "tage-kernel"
+        fn = build_kernel(
+            self._kernel_source(encoded, diversified, component, generic),
+            f"<{label} {(arm, diversified)}>",
+            self._kernel_namespace(thread_id, bundle, component))
+        fn.arm = arm
         (self._component_fns if component else self._exec_fns)[thread_id] = fn
         return fn
 
@@ -613,8 +591,6 @@ class TagePredictor(DirectionPredictor):
         statistics, so they bind no stats object.
         """
         namespace = {
-            "flat": self._flat,
-            "base_data": self._base_words._data,
             "path_values": self._path._values,
             "ghr_values": self._ghr._values,
             "regs": self._folded_regs(thread_id),
@@ -627,6 +603,13 @@ class TagePredictor(DirectionPredictor):
             namespace["old_gather"] = self._old_gather
         else:
             namespace["gather"] = self._gather_insert_masks
+        if bundle is False:
+            for t, table in enumerate(self._tables):
+                namespace[f"T{t}"] = table
+            namespace["base_words"] = self._base_words
+            return namespace
+        namespace["flat"] = self._flat
+        namespace["base_data"] = self._base_words._data
         if bundle[0]:
             _, consts, base_index_key, base_content_key, base_row_keys = bundle
             for entry in consts:
@@ -643,20 +626,24 @@ class TagePredictor(DirectionPredictor):
         return namespace
 
     def _kernel_source(self, encoded: bool, diversified: bool,
-                       component: bool = False) -> str:
+                       component: bool = False, generic: bool = False) -> str:
         """Generate the source of one specialised kernel arm.
 
-        Two arms exist: the *passthrough* arm (baseline / flush presets) and
+        Three arms exist: the *passthrough* arm (baseline / flush presets),
         the *fused-XOR* arm (XOR-BP / Noisy-XOR-BP), which differs only in
-        the mask XORs folded into the index/content math.  Geometry
-        (strides, lane offsets, masks, hash constants) is inlined as
-        literals; per-thread mask values are globals so key rotation swaps
-        namespace entries instead of recompiling.  Statement order mirrors
-        :meth:`_execute_generic` exactly — the parity suite holds the
-        generated kernels, the generic path and the scalar engine
-        bit-identical.  ``component`` selects the composable variant of
-        either arm (see :meth:`component_kernel`): no statistics, and the
-        confidence bit returned next to the prediction.
+        the mask XORs folded into the index/content math, and the *generic*
+        arm (``generic``: Precise Flush's owner tracking, the S-box /
+        shift-XOR ablation encoders), which reads and writes the tables
+        ``T0..Tn-1`` and ``base_words`` through their ``read``/``write``
+        API on logical indices, so the isolation policy's own dispatch
+        applies.  Geometry (strides, lane offsets, masks, hash constants)
+        is inlined as literals; per-thread mask values are globals so key
+        rotation swaps namespace entries instead of recompiling.  The flow
+        is that of the scalar :meth:`lookup` + :meth:`update` pair — the
+        parity suite holds every arm and the scalar engine bit-identical.
+        ``component`` selects the composable variant of any arm (see
+        :meth:`component_kernel`): no statistics, and the confidence bit
+        returned next to the prediction.
         """
         cfg = self.config
         n = cfg.n_tables
@@ -724,7 +711,9 @@ class TagePredictor(DirectionPredictor):
             emit(f"    row = (pc_bits ^ {hist_term(t)} ^ {path_term(t)}"
                  f"{key_xor}) & {imask}")
             cell = f"flat[{toff} + row]" if toff else "flat[row]"
-            if encoded:
+            if generic:
+                emit(f"    word = T{t}.read(row, TID)")
+            elif encoded:
                 decode = f" ^ CK{t}" + (f" ^ RK{t}[row]" if diversified else "")
                 emit(f"    word = {cell}{decode}")
             else:
@@ -739,7 +728,10 @@ class TagePredictor(DirectionPredictor):
             emit("            provider_tag = tag")
             emit(f"            provider_ctr = (word >> {ubits}) & {cmask}")
             emit(f"            provider_useful = word & {umask}")
-            emit(f"            provider_base = {toff}")
+            if generic:
+                emit(f"            provider_table = T{t}")
+            else:
+                emit(f"            provider_base = {toff}")
             if encoded:
                 emit(f"            provider_ck = CK{t}")
                 if diversified:
@@ -765,7 +757,10 @@ class TagePredictor(DirectionPredictor):
         base_decode = ""
         if encoded:
             base_decode = " ^ BCK" + (" ^ BRK[base_row]" if diversified else "")
-        emit(f"    base_word = {base_cell}{base_decode}")
+        if generic:
+            emit("    base_word = base_words.read(base_row, TID)")
+        else:
+            emit(f"    base_word = {base_cell}{base_decode}")
         emit(f"    base_counter = (base_word >> base_shift) & {bcmask}")
         emit(f"    base_taken = base_counter >= {self._base_threshold}")
         emit(f"    alt_taken = (alt_ctr >= {thresh}) if alt >= 0 else base_taken")
@@ -797,7 +792,9 @@ class TagePredictor(DirectionPredictor):
         emit("        ctr = provider_ctr")
         emit("        useful = provider_useful")
         emit("        if reset_fired:")
-        if encoded:
+        if generic:
+            emit("            word = provider_table.read(provider_row, TID)")
+        elif encoded:
             emit("            word = predictor._tables[provider].read("
                  f"(provider_row ^ provider_ik) & {imask}, TID)")
         else:
@@ -829,7 +826,9 @@ class TagePredictor(DirectionPredictor):
         emit("                new_useful = useful - 1 if useful > 0 else 0")
         packed = (f"(provider_tag << {ctr_shift}) | (new_ctr << {ubits})"
                   " | new_useful")
-        if encoded:
+        if generic:
+            emit(f"        provider_table.write(provider_row, {packed}, TID)")
+        elif encoded:
             encode = " ^ provider_ck" + (" ^ provider_rk[provider_row]"
                                          if diversified else "")
             emit(f"        flat[provider_base + provider_row] = ({packed}){encode}")
@@ -846,7 +845,9 @@ class TagePredictor(DirectionPredictor):
         new_word = (f"((base_word & ~({bcmask} << base_shift))"
                     f" | (new_base << base_shift))"
                     f" & {self._base_words._value_mask}")
-        if encoded:
+        if generic:
+            emit(f"        base_words.write(base_row, {new_word}, TID)")
+        elif encoded:
             emit(f"        {base_cell} = ({new_word}){base_decode}")
         else:
             emit(f"        {base_cell} = {new_word}")
@@ -899,166 +900,6 @@ class TagePredictor(DirectionPredictor):
         else:
             emit("    return predicted")
         return "\n".join(lines) + "\n"
-
-    def _execute_generic(self, pc: int, taken: bool, thread_id: int,
-                         component: bool = False):
-        """Fused execute for non-fusable isolation policies.
-
-        Structurally the same flow as :meth:`execute`, but every storage
-        access goes through the table API so owner tracking (Precise Flush)
-        and non-XOR encoders (S-box / shift-XOR ablations) keep their exact
-        generic-dispatch semantics.  With ``component`` it is the generic
-        arm of :meth:`component_kernel`: no statistics, and the result is
-        ``(predicted, confident)``.
-        """
-        (n_tables, ctr_shift, ctr_mask, u_mask, tag_mask, weak_taken,
-         taken_threshold, use_alt_threshold, useful_bits, base_index_mask,
-         base_cpw, base_threshold, index_bits, index_mask, path_obj, ghr,
-         useful_reset_period, tag1_mask, old_mask, old_gather, new_masks,
-         guard_i, lanes_i, guard_t0, lanes_t0, tag_bits, guard_t1, lanes_t1,
-         tag1_bits) = self._exec_bundle
-        tables = self._tables
-        base_words = self._base_words
-
-        # -- lookup ----------------------------------------------------------
-        base_index = (pc >> 2) & base_index_mask
-        base_word_index = base_index // base_cpw
-        base_shift = (base_index % base_cpw) * 2
-        base_word = base_words.read(base_word_index, thread_id)
-        base_counter = (base_word >> base_shift) & 3
-        base_taken = base_counter >= base_threshold
-        regs = self._folded_state.get(thread_id)
-        if regs is None:
-            regs = self._folded_state[thread_id] = [0, 0, 0]
-        packed_i = regs[0]
-        packed_t0 = regs[1]
-        packed_t1 = regs[2]
-        path_value = path_obj._values.get(thread_id, 0)
-        path = path_value & index_mask
-        remaining = path_value >> index_bits
-        while remaining:
-            path ^= remaining & index_mask
-            remaining >>= index_bits
-        pc_bits = (pc >> 2) ^ (pc >> (2 + index_bits))
-        pc2 = pc >> 2
-        lanes_off_i = self._swar_i.lane_offsets
-        lanes_off_t0 = self._swar_t0.lane_offsets
-        lanes_off_t1 = self._swar_t1.lane_offsets
-        provider = -1
-        alt = -1
-        provider_index = provider_tag = provider_ctr = provider_useful = 0
-        alt_ctr = 0
-        for t in range(n_tables):
-            index = (pc_bits ^ ((packed_i >> lanes_off_i[t]) & index_mask)
-                     ^ (path >> (t & 3)) ^ (t * 0x1F)) & index_mask
-            word = tables[t].read(index, thread_id)
-            if word:
-                tag = (pc2 ^ ((packed_t0 >> lanes_off_t0[t]) & tag_mask)
-                       ^ (((packed_t1 >> lanes_off_t1[t]) & tag1_mask) << 1)) \
-                    & tag_mask
-                if ((word >> ctr_shift) & tag_mask) == tag:
-                    alt = provider
-                    alt_ctr = provider_ctr
-                    provider = t
-                    provider_index = index
-                    provider_tag = tag
-                    provider_ctr = (word >> useful_bits) & ctr_mask
-                    provider_useful = word & u_mask
-        alt_taken = (alt_ctr >= taken_threshold) if alt >= 0 else base_taken
-        if provider >= 0:
-            provider_taken = provider_ctr >= taken_threshold
-            use_alt = (provider_useful == 0
-                       and provider_ctr in (weak_taken, weak_taken - 1)
-                       and self._use_alt >= use_alt_threshold)
-            predicted = alt_taken if use_alt else provider_taken
-        else:
-            use_alt = False
-            predicted = base_taken
-
-        # -- stats -----------------------------------------------------------
-        if not component:
-            pstats = self._stats.get(thread_id)
-            if pstats is None:
-                pstats = self._stats[thread_id] = PredictorStats()
-            pstats.lookups += 1
-            if predicted != taken:
-                pstats.mispredictions += 1
-
-        # -- update ----------------------------------------------------------
-        mispredicted = predicted != taken
-        self._update_count += 1
-        reset_fired = self._update_count % useful_reset_period == 0
-        if reset_fired:
-            self._graceful_useful_reset(thread_id)
-        if provider >= 0:
-            ctr, useful = provider_ctr, provider_useful
-            if reset_fired:
-                word = tables[provider].read(provider_index, thread_id)
-                ctr = (word >> useful_bits) & ctr_mask
-                useful = word & u_mask
-            provider_taken = ctr >= taken_threshold
-            if use_alt or (useful == 0 and ctr in (weak_taken, weak_taken - 1)):
-                if provider_taken != alt_taken:
-                    if alt_taken == taken:
-                        self._use_alt = min(self._use_alt + 1, self._use_alt_max)
-                    else:
-                        self._use_alt = max(self._use_alt - 1, 0)
-            if taken:
-                new_ctr = ctr + 1 if ctr < ctr_mask else ctr_mask
-            else:
-                new_ctr = ctr - 1 if ctr > 0 else 0
-            new_useful = useful
-            if provider_taken != alt_taken:
-                if provider_taken == taken:
-                    new_useful = min(useful + 1, u_mask)
-                else:
-                    new_useful = max(useful - 1, 0)
-            packed = ((provider_tag << ctr_shift)
-                      | ((new_ctr & ctr_mask) << useful_bits)
-                      | (new_useful & u_mask))
-            tables[provider].write(provider_index, packed, thread_id)
-        if provider < 0 or alt < 0:
-            if taken:
-                new_base = base_counter + 1 if base_counter < 3 else 3
-            else:
-                new_base = base_counter - 1 if base_counter > 0 else 0
-            new_word = (base_word & ~(3 << base_shift)) | (new_base << base_shift)
-            base_words.write(base_word_index, new_word, thread_id)
-        if mispredicted and provider < n_tables - 1:
-            indices = [(pc_bits ^ ((packed_i >> lanes_off_i[t]) & index_mask)
-                        ^ (path >> (t & 3)) ^ (t * 0x1F)) & index_mask
-                       for t in range(n_tables)]
-            tags = [(pc2 ^ ((packed_t0 >> lanes_off_t0[t]) & tag_mask)
-                     ^ (((packed_t1 >> lanes_off_t1[t]) & tag1_mask) << 1))
-                    & tag_mask for t in range(n_tables)]
-            self._allocate(pc, taken, provider, indices, tags, thread_id)
-
-        # -- history push ----------------------------------------------------
-        ghr_values = ghr._values
-        ghr_value = ghr_values.get(thread_id, 0)
-        if old_gather is not None:
-            mask_i, mask_t0, mask_t1 = old_gather[ghr_value & old_mask]
-        else:
-            mask_i, mask_t0, mask_t1 = self._gather_insert_masks(ghr_value)
-        new_bit = 1 if taken else 0
-        new_i, new_t0, new_t1 = new_masks[new_bit]
-        packed_i = ((packed_i << 1) | new_i) ^ mask_i
-        packed_i ^= (packed_i & guard_i) >> index_bits
-        regs[0] = packed_i & lanes_i
-        packed_t0 = ((packed_t0 << 1) | new_t0) ^ mask_t0
-        packed_t0 ^= (packed_t0 & guard_t0) >> tag_bits
-        regs[1] = packed_t0 & lanes_t0
-        packed_t1 = ((packed_t1 << 1) | new_t1) ^ mask_t1
-        packed_t1 ^= (packed_t1 & guard_t1) >> tag1_bits
-        regs[2] = packed_t1 & lanes_t1
-        ghr_values[thread_id] = ((ghr_value << 1) | new_bit) & ghr._mask
-        path_obj._values[thread_id] = \
-            ((path_value << path_obj._pc_bits)
-             | (pc2 & ((1 << path_obj._pc_bits) - 1))) & path_obj._mask
-        if component:
-            return predicted, (not use_alt if provider >= 0
-                               else base_counter != 1 and base_counter != 2)
-        return predicted
 
     def _allocate(self, pc: int, taken: bool, provider: int,
                   indices: Sequence[int], tags: Sequence[int],

@@ -12,12 +12,14 @@ TAGE-SC-L) and Gshare predictors.
 
 import pytest
 
+from repro.core.registry import make_bpu
 from repro.cpu.config import fpga_prototype, sunny_cove_smt
 from repro.cpu.core import SingleThreadCore, record_batch_stream
 from repro.cpu.smt import SmtCore
 from repro.experiments.runner import build_bpu
 from repro.experiments.scaling import ExperimentScale
-from repro.predictors.tage import TageConfig
+from repro.predictors.tage import _MAX_GATHER_TABLES, TageConfig
+from repro.types import BranchType
 from repro.workloads import SINGLE_THREAD_PAIRS, SMT2_PAIRS, make_pair_workloads
 from repro.workloads.generator import make_workload
 
@@ -34,6 +36,10 @@ SCALE = ExperimentScale(
 #: cover index randomization (the only policy overriding map_index).
 PRESETS = ["baseline", "xor_bp", "complete_flush", "precise_flush",
            "noisy_xor_bp"]
+
+#: TAGE kernel arm each preset selects.
+PRESET_ARMS = {"baseline": "passthrough", "noisy_xor_bp": "fused-xor",
+               "precise_flush": "generic"}
 
 
 def _snapshot(result):
@@ -90,25 +96,54 @@ class TestSingleThreadParity:
         batched = _single_thread("baseline", "batched", predictor=predictor)
         assert _snapshot(batched) == _snapshot(scalar)
 
-    def test_tage_useful_reset_parity(self):
-        # A reset period far below the branch budget forces many graceful
-        # useful-counter resets inside both the warm-up and measured phases,
-        # exercising the fused execute()'s reset_fired provider re-read path
-        # (the default 1<<18 period never fires at these test budgets).
+    @pytest.mark.parametrize("preset", ["baseline", "noisy_xor_bp",
+                                        "precise_flush"])
+    def test_tage_useful_reset_parity(self, preset):
+        # A reset period far below the branch budget forces graceful
+        # useful-counter resets inside both the warm-up and measured phases
+        # on each kernel arm (the default 1<<18 period never fires at these
+        # test budgets).  At these budgets no reset lands on a provider with
+        # a useful counter set, so the provider re-read itself is pinned by
+        # test_useful_reset_reread_equals_scalar_protocol (predictor level).
         def run(engine):
             config = fpga_prototype(
                 "tage", config=TageConfig(useful_reset_period=512))
             workloads = make_pair_workloads(SINGLE_THREAD_PAIRS[0],
                                             seed=SCALE.seed)
-            bpu = build_bpu(config, "baseline", seed=SCALE.seed + 1)
+            bpu = build_bpu(config, preset, seed=SCALE.seed + 1)
             core = SingleThreadCore(config, bpu, workloads,
                                     time_scale=SCALE.time_scale,
                                     syscall_time_scale=SCALE.syscall_time_scale)
             return core.run(target_branches=SCALE.st_target_branches,
                             warmup_branches=SCALE.st_warmup_branches,
-                            mechanism_name="baseline", engine=engine)
+                            mechanism_name=preset, engine=engine)
 
         assert _snapshot(run("batched")) == _snapshot(run("scalar"))
+
+    @pytest.mark.parametrize("preset", ["baseline", "noisy_xor_bp",
+                                        "precise_flush"])
+    def test_tage_beyond_the_gather_map_parity(self, preset):
+        # More tagged tables than the oldest-bit gather map covers: the
+        # kernels gather the leaving history bits per table instead.
+        def run(engine):
+            tage = TageConfig(n_tables=_MAX_GATHER_TABLES + 1,
+                              table_entries=256, base_entries=1024)
+            config = fpga_prototype("tage", config=tage)
+            workloads = make_pair_workloads(SINGLE_THREAD_PAIRS[0],
+                                            seed=SCALE.seed)
+            bpu = build_bpu(config, preset, seed=SCALE.seed + 1)
+            assert bpu.direction._old_gather is None
+            assert bpu.direction.exec_kernel(0).arm == PRESET_ARMS[preset]
+            core = SingleThreadCore(config, bpu, workloads,
+                                    time_scale=SCALE.time_scale,
+                                    syscall_time_scale=SCALE.syscall_time_scale)
+            result = core.run(target_branches=SCALE.st_target_branches,
+                              warmup_branches=SCALE.st_warmup_branches,
+                              mechanism_name=preset, engine=engine)
+            return (_snapshot(result),
+                    [list(t.rows()) for t in bpu.direction.tables()])
+
+        assert run("batched") == run("scalar")
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError):
@@ -121,6 +156,26 @@ class TestSmtParity:
         scalar = _smt(preset, "scalar")
         batched = _smt(preset, "batched")
         assert _snapshot(batched) == _snapshot(scalar)
+
+    def test_tage_sc_l_useful_reset_parity_under_precise_flush(self):
+        # The component arm's reset_fired provider re-read, on the generic
+        # arm with owner tracking and two threads sharing the tables.
+        def run(engine):
+            tage = TageConfig(n_tables=8, table_entries=4096, min_history=8,
+                              max_history=256, useful_reset_period=512)
+            config = sunny_cove_smt("tage_sc_l", tage_config=tage)
+            workloads = make_pair_workloads(SMT2_PAIRS[0], seed=SCALE.seed)
+            bpu = build_bpu(config, "precise_flush", seed=SCALE.seed + 1)
+            assert bpu.direction.tage.component_kernel(0).arm == "generic"
+            core = SmtCore(config, bpu, workloads,
+                           time_scale=SCALE.smt_time_scale)
+            result = core.run(instructions=SCALE.smt_instructions,
+                              warmup_instructions=SCALE.smt_warmup_instructions,
+                              mechanism_name="precise_flush", engine=engine)
+            return (_snapshot(result),
+                    [list(t.rows()) for t in bpu.direction.tables()])
+
+        assert run("batched") == run("scalar")
 
     def test_full_system_mode_parity(self):
         # se_mode=False exercises the per-thread syscall path.
@@ -172,6 +227,53 @@ class TestBpuFastPathParity:
         assert (fast_bpu.direction.stats(0).mispredictions
                 == ref_bpu.direction.stats(0).mispredictions)
         assert fast_bpu.btb.hits == ref_bpu.btb.hits
+
+
+    @pytest.mark.parametrize("preset", ["baseline", "noisy_xor_bp",
+                                        "precise_flush"])
+    @pytest.mark.parametrize("ways", [1, 8])
+    def test_btb_geometry_parity(self, ways, preset):
+        # The presets' BTBs are 2- and 4-way; the probe generator unrolls
+        # the way walk and special-cases one way.  Few sets force evictions.
+        kinds = (BranchType.CALL, BranchType.DIRECT, BranchType.INDIRECT)
+        records = []
+        for i, record in enumerate(make_workload("gcc", seed=9).segment(3_000)):
+            kind = record.branch_type
+            if kind in kinds:
+                # The generator emits no DIRECT branches: rotate the types.
+                kind = kinds[i % 3]
+            records.append((record.pc, record.taken, record.target, kind))
+        assert {r[3] for r in records} >= {BranchType.CONDITIONAL, *kinds}
+        ref_bpu = make_bpu("gshare", preset, seed=11, btb_sets=16,
+                           btb_ways=ways)
+        fast_bpu = make_bpu("gshare", preset, seed=11, btb_sets=16,
+                            btb_ways=ways)
+        arm = PRESET_ARMS[preset]
+        assert fast_bpu.btb.exec_conditional_kernel(0).arm == arm
+        assert fast_bpu.btb.exec_indirect_kernel(0).arm == arm
+        for i, (pc, taken, target, kind) in enumerate(records):
+            thread = (i // 200) % 2
+            ref = ref_bpu.execute_branch(pc, taken, target, kind, thread)
+            fast = fast_bpu.execute_branch_fast(pc, taken, target, kind,
+                                                thread)
+            assert fast == (ref.direction_mispredicted,
+                            ref.target_mispredicted,
+                            ref.btb_accessed, ref.btb_hit), f"branch {i}"
+            if i % 97 == 0:
+                ref_bpu.notify_context_switch(thread)
+                fast_bpu.notify_context_switch(thread)
+        assert fast_bpu.btb.snapshot() == ref_bpu.btb.snapshot()
+        assert (fast_bpu.btb.lookups, fast_bpu.btb.hits) \
+            == (ref_bpu.btb.lookups, ref_bpu.btb.hits)
+
+    @pytest.mark.parametrize("preset", ["baseline", "noisy_xor_bp"])
+    def test_force_generic_dispatch_flips_both_btb_kernels(self, preset):
+        bpu = make_bpu("gshare", preset, seed=11)
+        fetches = (bpu.btb.exec_conditional_kernel,
+                   bpu.btb.exec_indirect_kernel)
+        assert [fetch(0).arm for fetch in fetches] == [PRESET_ARMS[preset]] * 2
+        bpu.force_generic_dispatch()
+        assert [fetch(0).arm for fetch in fetches] == ["generic"] * 2
 
 
 class TestTraceApiParity:

@@ -134,15 +134,18 @@ class TestKernelFreePredictor:
 def _fetch(bpu, structure):
     if structure == "btb":
         return bpu.btb.exec_conditional_kernel
+    if structure == "btb-indirect":
+        return bpu.btb.exec_indirect_kernel
     return bpu.direction.exec_kernel
 
 
 class TestPerThreadRefetch:
     """A switch drops the switching thread's kernel and no other."""
 
-    @pytest.mark.parametrize("structure", ["tage", "gshare", "btb"])
+    @pytest.mark.parametrize("structure", ["tage", "gshare", "btb",
+                                           "btb-indirect"])
     def test_context_switch_drops_only_that_threads_kernel(self, structure):
-        predictor = "tage" if structure == "btb" else structure
+        predictor = "tage" if structure.startswith("btb") else structure
         bpu = make_bpu(predictor, "xor_bp", seed=7)
         fetch = _fetch(bpu, structure)
         first, second = fetch(0), fetch(1)

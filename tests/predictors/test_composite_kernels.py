@@ -16,7 +16,7 @@ import pytest
 
 from repro.core.registry import make_bpu
 from repro.predictors import make_direction_predictor
-from repro.predictors.tage import TagePredictor
+from repro.predictors.tage import TageConfig, TagePredictor
 from repro.types import Privilege
 from repro.workloads.generator import make_workload
 
@@ -182,6 +182,43 @@ class TestScalarEquivalence:
         assert [list(t.rows()) for t in fast.tables()] \
             == [list(t.rows()) for t in slow.tables()]
         assert fast.total_stats() == slow.total_stats()
+
+
+def _program_stream(n):
+    """Eight branches in a fixed loop body, taken patterns of period 2 and 3.
+
+    The history repeats, so tagged providers hit and earn useful counters;
+    a graceful useful reset then regularly lands on a useful provider, the
+    case where the kernels must re-read the provider entry.
+    """
+    pcs = [0x4000 + 0x94 * k for k in range(8)]
+    for i in range(n):
+        k, j = i % 8, i // 8
+        yield pcs[k], j % (2 + (k & 1)) != 0
+
+
+@pytest.mark.parametrize("component", [False, True])
+@pytest.mark.parametrize("preset", ["baseline", "noisy_xor_bp",
+                                    "precise_flush"])
+def test_useful_reset_reread_equals_scalar_protocol(preset, component):
+    config = TageConfig(table_entries=256, base_entries=1024,
+                        useful_reset_period=128)
+    fast = make_bpu("tage", preset, seed=7,
+                    predictor_kwargs={"config": config}).direction
+    slow = make_bpu("tage", preset, seed=7,
+                    predictor_kwargs={"config": config}).direction
+    assert fast.exec_kernel(0).arm == PRESET_ARMS[preset]
+    for i, (pc, taken) in enumerate(_program_stream(4_000)):
+        thread = (i // 400) % 2
+        if component:
+            predicted = fast.component_kernel(thread)(pc, taken)[0]
+        else:
+            predicted = fast.execute(pc, taken, thread)
+        prediction = slow.lookup(pc, thread)
+        slow.update(pc, taken, prediction, thread)
+        assert predicted == prediction.taken, f"diverged at branch {i}"
+    assert [list(t.rows()) for t in fast.tables()] \
+        == [list(t.rows()) for t in slow.tables()]
 
 
 def test_tournament_with_distinct_choice_geometry_matches_scalar():

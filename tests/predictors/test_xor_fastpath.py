@@ -138,10 +138,12 @@ class TestPackedKernelArms:
         want_pht = ("fused-xor" if config.pht_mechanism in ("xor", "noisy_xor")
                     else "passthrough")
         assert bpu.btb.exec_conditional_kernel(0).arm == want_btb
+        assert bpu.btb.exec_indirect_kernel(0).arm == want_btb
         assert bpu.direction.exec_kernel(0).arm == want_pht
         # Re-randomisation rebuilds the same arm (never a generic fallback).
         bpu.notify_context_switch(0)
         assert bpu.btb.exec_conditional_kernel(0).arm == want_btb
+        assert bpu.btb.exec_indirect_kernel(0).arm == want_btb
         assert bpu.direction.exec_kernel(0).arm == want_pht
 
     @pytest.mark.parametrize("predictor", ["tage", "gshare"])
@@ -151,11 +153,13 @@ class TestPackedKernelArms:
         bpu = make_bpu(predictor, "xor_bp", seed=11,
                        config_overrides={"encoder": "sbox"})
         assert bpu.btb.exec_conditional_kernel(0).arm == "generic"
+        assert bpu.btb.exec_indirect_kernel(0).arm == "generic"
         assert bpu.direction.exec_kernel(0).arm == "generic"
 
     def test_precise_flush_takes_generic_arm(self):
         bpu = make_bpu("gshare", "precise_flush", seed=11)
         assert bpu.btb.exec_conditional_kernel(0).arm == "generic"
+        assert bpu.btb.exec_indirect_kernel(0).arm == "generic"
         assert bpu.direction.exec_kernel(0).arm == "generic"
 
 
